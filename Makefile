@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test vet check chaos bench bench-reduction bench-traversal bench-batching bench-frontier bench-sketch bench-bicc bench-load experiments fuzz fuzz-smoke cover
+.PHONY: build test vet check chaos bench bench-reduction bench-traversal bench-batching bench-sketch bench-bicc bench-load experiments fuzz fuzz-smoke cover
 
 build:
 	go build ./...
@@ -48,14 +48,6 @@ bench-traversal:
 # EXPERIMENTS.md and DESIGN.md section 9 for the discussion).
 bench-batching:
 	go run ./cmd/experiments -only batching -batching-json BENCH_batching.json
-
-# Frontier scaling study: per-source vs frontier-parallel (edge-map) engine
-# across worker counts {1,2,4,8} through one full exact farness run, one
-# dataset per generator family, every cell verified bit-identical to the
-# sequential baseline, recorded machine-readably in BENCH_frontier.json (see
-# EXPERIMENTS.md and DESIGN.md section 10 for the discussion).
-bench-frontier:
-	go run ./cmd/experiments -only frontier -frontier-json BENCH_frontier.json
 
 # Distance-sketch query study: point-to-point throughput of the three
 # /v1/distance answering modes (exact bidirectional BFS vs O(k) sketch bound

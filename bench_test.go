@@ -10,6 +10,7 @@
 package brics_test
 
 import (
+	"context"
 	"testing"
 
 	brics "repro"
@@ -220,6 +221,7 @@ func BenchmarkTraversalKernels(b *testing.B) {
 	dist := make([]int32, n)
 	q := queue.NewFIFO(n)
 	bq := queue.NewBucket(1)
+	ctx := context.Background()
 	b.Run("bfs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			bfs.Distances(g, graph.NodeID(i%n), dist, q)
@@ -228,12 +230,12 @@ func BenchmarkTraversalKernels(b *testing.B) {
 	b.Run("direction-optimizing", func(b *testing.B) {
 		s := &bfs.Scratch{}
 		for i := 0; i < b.N; i++ {
-			bfs.HybridDistances(g, graph.NodeID(i%n), dist, s)
+			_ = bfs.HybridDistancesCtx(ctx, g, graph.NodeID(i%n), dist, s)
 		}
 	})
 	b.Run("dial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			bfs.WDistances(wg, graph.NodeID(i%n), dist, bq)
+			_ = bfs.WDistancesCtx(ctx, wg, graph.NodeID(i%n), dist, bq)
 		}
 	})
 }

@@ -117,21 +117,15 @@ type TraversalMode = core.TraversalMode
 
 // Traversal modes. TraversalAuto batches sources into 64-wide bit-parallel
 // multi-source sweeps whenever at least 8 of them share a component or
-// biconnected block, switches to the frontier-parallel edge-map engine when
-// a unit carries fewer sources than half the workers (sequential sources,
-// each traversal's levels split across the pool — the only engine that
-// scales a *single* traversal), and otherwise runs the direction-optimising
-// per-source kernel. TraversalPerSource (plain top-down), TraversalBatched,
-// TraversalHybrid (direction-optimising, never batched) and
-// TraversalFrontier (edge-map, never batched) force one engine. All engines
-// produce identical farness values for the same seed at every worker count —
-// the choice only changes the wall-clock.
+// biconnected block, and otherwise runs the direction-optimising per-source
+// kernel. TraversalPerSource (plain top-down BFS/Dial per source) and
+// TraversalBatched force one engine. All engines produce identical farness
+// values for the same seed at every worker count — the choice only changes
+// the wall-clock.
 const (
 	TraversalAuto      = core.TraversalAuto
 	TraversalPerSource = core.TraversalPerSource
 	TraversalBatched   = core.TraversalBatched
-	TraversalHybrid    = core.TraversalHybrid
-	TraversalFrontier  = core.TraversalFrontier
 )
 
 // BatchingMode selects how sampled sources are packed into the 64-wide
@@ -178,7 +172,7 @@ const (
 func ParseRelabelMode(s string) (RelabelMode, error) { return graph.ParseRelabelMode(s) }
 
 // ParseTraversalMode converts an engine name ("auto", "per-source",
-// "batched", "hybrid", "frontier") into a TraversalMode.
+// "batched") into a TraversalMode.
 func ParseTraversalMode(s string) (TraversalMode, error) { return core.ParseTraversalMode(s) }
 
 // Options configures Estimate; the zero value runs pure sampling at the
@@ -247,7 +241,10 @@ func RandomSamplingMode(g *Graph, fraction float64, workers int, seed int64, mod
 // the smaller frontier), which visits a small fraction of the nodes a full
 // traversal would on small-world graphs. Returns -1 when t is unreachable
 // from s. This is the kernel behind the server's /v1/distance endpoint.
-func Distance(g *Graph, s, t NodeID) int32 { return bfs.PointToPoint(g, s, t) }
+func Distance(g *Graph, s, t NodeID) int32 {
+	d, _ := bfs.PointToPointCtx(context.Background(), g, s, t)
+	return d
+}
 
 // DistanceContext is Distance with cooperative cancellation, polled at every
 // expansion level: when ctx is canceled or its deadline passes, the search

@@ -114,17 +114,14 @@ func main() {
 		setReady = func(bool) {} // per-graph servers manage their own readiness
 		closeAll = reg.Close
 	} else {
-		g, name, err := loadSingle(*input, *dataset, *scale, cfg.Workers)
-		if err != nil {
-			fatal(err)
-		}
-		start := time.Now()
-		s, err := server.NewWithConfig(g.g, serverConfigFor(cfg, g))
+		s, g, name, took, err := readySingle(cfg, func() (loaded, string, error) {
+			return loadSingle(*input, *dataset, *scale, cfg.Workers)
+		})
 		if err != nil {
 			fatal(err)
 		}
 		log.Printf("graph %s ready in %v (%d nodes, %d edges, %s); listening on %s",
-			name, time.Since(start).Round(time.Millisecond),
+			name, took.Round(time.Millisecond),
 			g.g.NumNodes(), g.g.NumEdges(), g.source, *addr)
 		handler = s
 		setReady = s.SetReady
@@ -172,6 +169,18 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("shutdown complete")
+}
+
+// readySingle runs load and builds the single-graph-mode server on its
+// result, returning how long both took: the daemon's time to ready.
+func readySingle(cfg server.Config, load func() (loaded, string, error)) (*server.Server, loaded, string, time.Duration, error) {
+	start := time.Now()
+	g, name, err := load()
+	if err != nil {
+		return nil, loaded{}, "", 0, err
+	}
+	s, err := server.NewWithConfig(g.g, serverConfigFor(cfg, g))
+	return s, g, name, time.Since(start), err
 }
 
 // loaded is a single-mode graph plus its provenance: a mapped artifact must

@@ -6,27 +6,27 @@
 //	experiments [-scale 1.0] [-workers N] [-seed S] [-only table1,fig4a,...]
 //	experiments -list
 //
-// Experiments: table1, fig4a, fig4b, fig5, fig6, fig7, fig8, fig9,
-// traversal, batching, reduction (default: all, in order). See EXPERIMENTS.md
-// for the recorded paper-vs-measured comparison. The reduction experiment
-// times the parallel preprocessing pipeline; -json additionally writes its
-// rows as a machine-readable report (used by `make bench-reduction`). The
-// traversal experiment runs the relabel-ordering × traversal-engine locality
-// matrix; -traversal-json writes it as BENCH_traversal.json (used by
-// `make bench-traversal`). The batching experiment runs the batching-mode ×
-// estimator-engine matrix; -batching-json writes it as BENCH_batching.json
-// (used by `make bench-batching`). The frontier experiment runs the
-// exact-farness engine × worker-count scaling study; -frontier-json writes it
-// as BENCH_frontier.json (used by `make bench-frontier`). The sketch
-// experiment measures point-to-point distance throughput of the three
-// /v1/distance answering modes (exact vs sketch vs auto); -sketch-json writes
-// it as BENCH_sketch.json (used by `make bench-sketch`). The bicc experiment
-// runs the biconnected-decomposition engine × worker-count scaling study on
-// each class's reduced graph; -bicc-json writes it as BENCH_bicc.json (used
-// by `make bench-bicc`). The load experiment measures time-to-first-query of
-// the three graph load paths (text parse vs buffered binary read vs mmap
-// zero-copy); -load-json writes it as BENCH_load.json (used by
-// `make bench-load`).
+// Experiments: table1, fig4a, fig4b, fig5, fig6, fig7, fig8, fig9, sweep,
+// traversal, batching, sketch, bicc, load, reduction, ablations (default:
+// all, in order); an unknown -only name exits 2 with the valid list. See
+// EXPERIMENTS.md for the recorded paper-vs-measured comparison. The
+// reduction experiment times the parallel preprocessing pipeline; -json
+// additionally writes its rows as a machine-readable report (used by
+// `make bench-reduction`). The traversal experiment runs the
+// relabel-ordering × traversal-engine locality matrix and fails unless every
+// cell's farness equals the default cell's; -traversal-json writes it as
+// BENCH_traversal.json (used by `make bench-traversal`). The batching
+// experiment runs the batching-mode × estimator-engine matrix;
+// -batching-json writes it as BENCH_batching.json (used by
+// `make bench-batching`). The sketch experiment measures point-to-point
+// distance throughput of the three /v1/distance answering modes (exact vs
+// sketch vs auto); -sketch-json writes it as BENCH_sketch.json (used by
+// `make bench-sketch`). The bicc experiment runs the biconnected-decomposition
+// engine × worker-count scaling study on each class's reduced graph;
+// -bicc-json writes it as BENCH_bicc.json (used by `make bench-bicc`). The
+// load experiment measures time-to-first-query of the three graph load paths
+// (text parse vs buffered binary read vs mmap zero-copy); -load-json writes
+// it as BENCH_load.json (used by `make bench-load`).
 // -cpuprofile/-memprofile capture pprof profiles of
 // whatever subset runs — the intended workflow for chasing kernel
 // regressions spotted in the matrix.
@@ -38,6 +38,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -50,11 +51,10 @@ func main() {
 		scale      = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = default stand-in sizes)")
 		workers    = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		seed       = flag.Int64("seed", 1, "sampling seed")
-		only       = flag.String("only", "", "comma-separated subset: table1,fig4a,fig4b,fig5,fig6,fig7,fig8,fig9,traversal,batching,frontier,sketch,bicc,load,reduction,ablations,sweep")
+		only       = flag.String("only", "", "comma-separated subset: "+strings.Join(experimentNames, ","))
 		jsonOut    = flag.String("json", "", "write the reduction benchmark rows to this JSON file")
 		travOut    = flag.String("traversal-json", "", "write the traversal locality matrix to this JSON file")
 		batchOut   = flag.String("batching-json", "", "write the source-batching matrix to this JSON file")
-		frontOut   = flag.String("frontier-json", "", "write the frontier scaling study to this JSON file")
 		sketchOut  = flag.String("sketch-json", "", "write the distance-sketch query study to this JSON file")
 		biccOut    = flag.String("bicc-json", "", "write the BiCC decomposition scaling study to this JSON file")
 		loadOut    = flag.String("load-json", "", "write the artifact load-path study to this JSON file")
@@ -93,11 +93,10 @@ func main() {
 	}
 
 	cfg := experiments.Config{Scale: *scale, Workers: *workers, Seed: *seed}
-	want := map[string]bool{}
-	if *only != "" {
-		for _, s := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(strings.ToLower(s))] = true
-		}
+	want, err := parseOnly(*only)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
 	}
 	run := func(name string) bool { return len(want) == 0 || want[name] }
 	start := time.Now()
@@ -184,16 +183,6 @@ func main() {
 		}
 		fmt.Println()
 	}
-	if run("frontier") {
-		rows, err := experiments.FrontierBench(cfg)
-		check(err)
-		experiments.FprintFrontier(os.Stdout, rows)
-		if *frontOut != "" {
-			check(experiments.WriteFrontierJSON(*frontOut, cfg, rows))
-			fmt.Printf("wrote %s\n", *frontOut)
-		}
-		fmt.Println()
-	}
 	if run("sketch") {
 		rows, err := experiments.SketchBench(cfg)
 		check(err)
@@ -242,6 +231,30 @@ func main() {
 		fmt.Println()
 	}
 	fmt.Printf("total time %v\n", time.Since(start).Round(time.Millisecond))
+}
+
+// experimentNames lists every name -only accepts, in run order.
+var experimentNames = []string{
+	"table1", "fig4a", "fig4b", "fig5", "fig6", "fig7", "fig8", "fig9", "sweep",
+	"traversal", "batching", "sketch", "bicc", "load", "reduction", "ablations",
+}
+
+// parseOnly turns a comma-separated -only value into the set of experiments
+// to run (empty: all). Names are case-insensitive; an unknown one is an
+// error that lists the valid names.
+func parseOnly(only string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(only, ",") {
+		name = strings.TrimSpace(strings.ToLower(name))
+		if name == "" {
+			continue
+		}
+		if !slices.Contains(experimentNames, name) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(experimentNames, ", "))
+		}
+		want[name] = true
+	}
+	return want, nil
 }
 
 func check(err error) {

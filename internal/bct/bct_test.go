@@ -1,6 +1,7 @@
 package bct
 
 import (
+	"context"
 	"math/rand"
 	"testing/quick"
 
@@ -88,7 +89,7 @@ func checkAggregate(t *testing.T, g *graph.WGraph) {
 	if err := tree.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	ap := bfs.AllPairsW(g)
+	ap := allPairsW(g)
 
 	nb := d.NumBlocks()
 	// Home block per node.
@@ -175,7 +176,7 @@ func TestAggregateRandomGraphs(t *testing.T) {
 		if tree.Validate() != nil {
 			return false
 		}
-		ap := bfs.AllPairsW(g)
+		ap := allPairsW(g)
 		nb := d.NumBlocks()
 		home := make([]int32, n)
 		for v := 0; v < n; v++ {
@@ -238,4 +239,15 @@ func TestAggregateRandomGraphs(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// allPairsW is the full Dial distance matrix of a small weighted graph;
+// memory is Θ(n²).
+func allPairsW(g *graph.WGraph) [][]int32 {
+	out := make([][]int32, g.NumNodes())
+	for v := range out {
+		out[v] = make([]int32, g.NumNodes())
+		_ = bfs.WDistancesCtx(context.Background(), g, graph.NodeID(v), out[v], nil)
+	}
+	return out
 }

@@ -87,15 +87,6 @@ func runBatches(ctx context.Context, n int, sources []graph.NodeID, workers int,
 	})
 }
 
-// RunBatches traverses the unweighted graph g from every source using
-// bit-parallel 64-wide multi-source sweeps fanned out across a worker
-// pool. Per-worker scratch (lane-mask arrays, frontier buffers and the
-// distance slab) is allocated once and reused across batches. This is the
-// batched engine behind the estimators' TraversalBatched mode.
-func RunBatches(g *graph.Graph, sources []graph.NodeID, workers int, handle BatchHandler) {
-	_ = RunBatchesCtx(context.Background(), g, sources, workers, handle)
-}
-
 // maskRowFill returns a mask-level visitor that scatters distances into the
 // per-lane rows, with a fast path for the fully merged mask (all k lanes
 // arriving together) that walks the rows directly instead of decoding bits.
@@ -122,16 +113,20 @@ func fullMask(k int) uint64 {
 	return uint64(1)<<uint(k) - 1
 }
 
-// RunBatchesCtx is RunBatches with cooperative cancellation: workers stop
-// claiming batches once ctx is done and in-flight sweeps bail at their next
-// frontier level. On a non-nil (par.ErrCanceled-wrapping) return the handler
-// may have seen only a subset of batches; callers discard their
-// accumulation.
+// RunBatchesCtx traverses the unweighted graph g from every source using
+// bit-parallel 64-wide multi-source sweeps fanned out across a worker pool.
+// Per-worker scratch (lane-mask arrays, frontier buffers and the distance
+// slab) is allocated once and reused across batches. This is the batched
+// engine behind the estimators' TraversalBatched mode. Cancellation is
+// cooperative: workers stop claiming batches once ctx is done and in-flight
+// sweeps bail at their next frontier level. On a non-nil
+// (par.ErrCanceled-wrapping) return the handler may have seen only a subset
+// of batches; callers discard their accumulation.
 func RunBatchesCtx(ctx context.Context, g *graph.Graph, sources []graph.NodeID, workers int, handle BatchHandler) error {
 	n := g.NumNodes()
 	return runBatches(ctx, n, sources, workers, 1, func(s *batchScratch, batch []graph.NodeID, rows [][]int32) {
 		for lane := range batch {
-			Fill(rows[lane])
+			fill(rows[lane])
 		}
 		MultiSourceMasksInto(g, batch, s.ms, maskRowFill(rows, len(batch)))
 	}, handle)
@@ -180,18 +175,12 @@ func RunBatchesMaskCtx(ctx context.Context, g *graph.Graph, sources []graph.Node
 	})
 }
 
-// RunBatchesW is RunBatches over an integer-weighted graph (the reduced
-// graphs chain contraction produces). Kernel selection follows
+// RunBatchesWCtx is RunBatchesCtx over an integer-weighted graph (the
+// reduced graphs chain contraction produces). Kernel selection follows
 // MultiSourceWRows: level-synchronous sweeps when all weights are 1, the
 // lane-masked Dial when the maximum weight is bucketable, and a per-source
 // Dial fallback beyond MSMaxBucketWeight — the handler sees identical
 // batch/rows shapes either way.
-func RunBatchesW(g *graph.WGraph, sources []graph.NodeID, workers int, handle BatchHandler) {
-	_ = RunBatchesWCtx(context.Background(), g, sources, workers, handle)
-}
-
-// RunBatchesWCtx is RunBatchesW with cooperative cancellation (see
-// RunBatchesCtx for the contract).
 func RunBatchesWCtx(ctx context.Context, g *graph.WGraph, sources []graph.NodeID, workers int, handle BatchHandler) error {
 	n := g.NumNodes()
 	unweighted := g.Unweighted()

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -60,9 +61,9 @@ func TestMultiSourceMatchesDistancesOnFamilies(t *testing.T) {
 				rows := make([][]int32, len(batch))
 				for i := range rows {
 					rows[i] = make([]int32, n)
-					Fill(rows[i])
+					fill(rows[i])
 				}
-				MultiSource(g, batch, func(v graph.NodeID, lane int, d int32) {
+				multiSource(g, batch, func(v graph.NodeID, lane int, d int32) {
 					if rows[lane][v] != Unreached {
 						t.Fatalf("duplicate visit lane %d node %d", lane, v)
 					}
@@ -116,7 +117,7 @@ func TestMultiSourceWMatchesWDistances(t *testing.T) {
 					want := make([]int32, n)
 					bq := queue.NewBucket(wg.MaxWeight())
 					for lane, src := range batch {
-						WDistances(wg, src, want, bq)
+						wDistances(wg, src, want, bq)
 						for v := 0; v < n; v++ {
 							if rows[lane][v] != want[v] {
 								t.Fatalf("%s/%s lane=%d (src %d) node %d: batched %d, per-source %d",
@@ -138,7 +139,7 @@ func TestMultiSourceWVisitOnce(t *testing.T) {
 	wg := reweight(g, 1, 9, rng)
 	batch := randomBatch(rng, wg.NumNodes())
 	seen := make(map[[2]int32]bool)
-	MultiSourceW(wg, batch, func(v graph.NodeID, lane int, d int32) {
+	multiSourceW(wg, batch, func(v graph.NodeID, lane int, d int32) {
 		key := [2]int32{int32(lane), v}
 		if seen[key] {
 			t.Fatalf("duplicate visit for lane %d node %d", lane, v)
@@ -148,7 +149,7 @@ func TestMultiSourceWVisitOnce(t *testing.T) {
 	dist := make([]int32, wg.NumNodes())
 	bq := queue.NewBucket(wg.MaxWeight())
 	for lane, src := range batch {
-		WDistances(wg, src, dist, bq)
+		wDistances(wg, src, dist, bq)
 		for v := 0; v < wg.NumNodes(); v++ {
 			if want := dist[v] != Unreached; seen[[2]int32{int32(lane), int32(v)}] != want {
 				t.Fatalf("lane %d node %d: visited=%v, reachable=%v", lane, v, !want, want)
@@ -168,11 +169,15 @@ func TestRunBatchesMatchesPerSource(t *testing.T) {
 		sources[i] = graph.NodeID(rng.Intn(n))
 	}
 	got := make([][]int32, len(sources))
-	RunBatches(g, sources, 4, func(_, base int, batch []graph.NodeID, rows [][]int32) {
+	ctx := context.Background()
+	err := RunBatchesCtx(ctx, g, sources, 4, func(_, base int, batch []graph.NodeID, rows [][]int32) {
 		for lane := range batch {
 			got[base+lane] = append([]int32(nil), rows[lane]...)
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := make([]int32, n)
 	for i, s := range sources {
 		Distances(g, s, want, nil)
@@ -185,14 +190,17 @@ func TestRunBatchesMatchesPerSource(t *testing.T) {
 
 	wg := reweight(g, 1, 5, rng)
 	gotW := make([][]int32, len(sources))
-	RunBatchesW(wg, sources, 3, func(_, base int, batch []graph.NodeID, rows [][]int32) {
+	err = RunBatchesWCtx(ctx, wg, sources, 3, func(_, base int, batch []graph.NodeID, rows [][]int32) {
 		for lane := range batch {
 			gotW[base+lane] = append([]int32(nil), rows[lane]...)
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	bq := queue.NewBucket(wg.MaxWeight())
 	for i, s := range sources {
-		WDistances(wg, s, want, bq)
+		wDistances(wg, s, want, bq)
 		for v := 0; v < n; v++ {
 			if gotW[i][v] != want[v] {
 				t.Fatalf("weighted source %d node %d: driver %d, per-source %d", i, v, gotW[i][v], want[v])

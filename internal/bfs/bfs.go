@@ -14,9 +14,8 @@ import (
 // Unreached marks nodes not reached by a traversal.
 const Unreached int32 = -1
 
-// Fill sets every element of dist to Unreached. Kernels call it themselves;
-// it is exported for callers that compose partial traversals.
-func Fill(dist []int32) {
+// fill sets every element of dist to Unreached.
+func fill(dist []int32) {
 	for i := range dist {
 		dist[i] = Unreached
 	}
@@ -30,18 +29,21 @@ const interruptEvery = 2048
 
 // Distances runs a BFS from src over g, filling dist with hop counts
 // (Unreached for unreachable nodes). dist must have length g.NumNodes().
-// The scratch queue may be nil, in which case one is allocated.
+// The scratch queue may be nil, in which case one is allocated. It is the
+// reference traversal every other kernel is tested against.
 func Distances(g *graph.Graph, src graph.NodeID, dist []int32, q *queue.FIFO) {
-	distancesDone(g, src, dist, q, nil)
+	offsets, adj := g.CSR()
+	distancesDone(offsets, adj, src, dist, q, nil)
 }
 
-// distancesDone is the BFS kernel with an optional interruption channel: a
-// nil done never interrupts; a fired done makes the kernel return early,
-// leaving dist partial (callers discard it).
-func distancesDone(g *graph.Graph, src graph.NodeID, dist []int32, q *queue.FIFO, done <-chan struct{}) {
-	Fill(dist)
+// distancesDone is the BFS kernel over raw CSR arrays, so one implementation
+// serves both the simple and the all-weights-one contracted graphs, with an
+// optional interruption channel: a nil done never interrupts; a fired done
+// makes the kernel return early, leaving dist partial (callers discard it).
+func distancesDone(offsets []int64, adj []graph.NodeID, src graph.NodeID, dist []int32, q *queue.FIFO, done <-chan struct{}) {
+	fill(dist)
 	if q == nil {
-		q = queue.NewFIFO(g.NumNodes())
+		q = queue.NewFIFO(len(offsets) - 1)
 	} else {
 		q.Reset()
 	}
@@ -57,7 +59,7 @@ func distancesDone(g *graph.Graph, src graph.NodeID, dist []int32, q *queue.FIFO
 		}
 		u := q.Pop()
 		du := dist[u]
-		for _, v := range g.Neighbors(u) {
+		for _, v := range adj[offsets[u]:offsets[u+1]] {
 			if dist[v] == Unreached {
 				dist[v] = du + 1
 				q.Push(v)
@@ -74,7 +76,7 @@ type Scratch struct {
 	// Direction-optimising frontier state (bitset words + two frontier
 	// buffers), allocated lazily on first hybrid traversal and pooled across
 	// sources like the rest of the scratch.
-	front          []uint64
+	front           []uint64
 	frontier, spare []graph.NodeID
 }
 
@@ -103,19 +105,12 @@ func NewScratch(n int, maxWeight int32) *Scratch {
 	}
 }
 
-// WDistances runs Dial's algorithm from src over the weighted graph g,
-// filling dist with shortest-path lengths. For all-weights-one graphs it is
-// equivalent to BFS (and BFS should be preferred; see WDistancesAuto).
-// dist must have length g.NumNodes(); b must have been created with at least
-// the graph's maximum edge weight.
-func WDistances(g *graph.WGraph, src graph.NodeID, dist []int32, b *queue.Bucket) {
-	wDistancesDone(g, src, dist, b, nil)
-}
-
-// wDistancesDone is the Dial kernel with an optional interruption channel
-// (see distancesDone).
+// wDistancesDone is Dial's algorithm from src over the weighted graph g,
+// filling dist with shortest-path lengths, with an optional interruption
+// channel (see distancesDone). b must have been created with at least the
+// graph's maximum edge weight, or be nil.
 func wDistancesDone(g *graph.WGraph, src graph.NodeID, dist []int32, b *queue.Bucket, done <-chan struct{}) {
-	Fill(dist)
+	fill(dist)
 	if b == nil {
 		b = queue.NewBucket(g.MaxWeight())
 	} else {
@@ -144,54 +139,6 @@ func wDistancesDone(g *graph.WGraph, src graph.NodeID, dist []int32, b *queue.Bu
 				b.Push(v, nd)
 			}
 		}
-	}
-}
-
-// WDistancesBFS runs plain BFS over a weighted graph whose weights are all
-// 1; callers guarantee the precondition (see graph.WGraph.Unweighted).
-func WDistancesBFS(g *graph.WGraph, src graph.NodeID, dist []int32, q *queue.FIFO) {
-	wDistancesBFSDone(g, src, dist, q, nil)
-}
-
-func wDistancesBFSDone(g *graph.WGraph, src graph.NodeID, dist []int32, q *queue.FIFO, done <-chan struct{}) {
-	Fill(dist)
-	if q == nil {
-		q = queue.NewFIFO(g.NumNodes())
-	} else {
-		q.Reset()
-	}
-	dist[src] = 0
-	q.Push(src)
-	budget := interruptEvery
-	for !q.Empty() {
-		if budget--; budget == 0 {
-			if par.Interrupted(done) {
-				return
-			}
-			budget = interruptEvery
-		}
-		u := q.Pop()
-		du := dist[u]
-		for _, v := range g.Neighbors(u) {
-			if dist[v] == Unreached {
-				dist[v] = du + 1
-				q.Push(v)
-			}
-		}
-	}
-}
-
-// WDistancesAuto dispatches to BFS when the graph is unweighted (detected
-// once by the caller and passed in) and Dial otherwise.
-func WDistancesAuto(g *graph.WGraph, unweighted bool, src graph.NodeID, s *Scratch) {
-	wDistancesAutoDone(g, unweighted, src, s, nil)
-}
-
-func wDistancesAutoDone(g *graph.WGraph, unweighted bool, src graph.NodeID, s *Scratch, done <-chan struct{}) {
-	if unweighted {
-		wDistancesBFSDone(g, src, s.Dist, s.Q, done)
-	} else {
-		wDistancesDone(g, src, s.Dist, s.B, done)
 	}
 }
 

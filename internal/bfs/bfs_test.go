@@ -1,11 +1,14 @@
 package bfs
 
 import (
+	"context"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
+	"repro/internal/queue"
 )
 
 func path(n int) *graph.Graph {
@@ -26,6 +29,34 @@ func randomConnected(rng *rand.Rand, n int) *graph.Graph {
 		_ = b.AddEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 	}
 	return b.Build()
+}
+
+// wDistances is an uninterruptible Dial run from src, the per-source
+// reference the weighted multi-source kernels are checked against. b may be
+// nil.
+func wDistances(g *graph.WGraph, src graph.NodeID, dist []int32, b *queue.Bucket) {
+	_ = WDistancesCtx(context.Background(), g, src, dist, b)
+}
+
+// perLane adapts a per-lane visitor to the mask-level kernel interface, so
+// tests can check the exactly-once contract lane by lane.
+func perLane(visit func(v graph.NodeID, lane int, d int32)) func(v graph.NodeID, mask uint64, d int32) {
+	return func(v graph.NodeID, mask uint64, d int32) {
+		for m := mask; m != 0; m &= m - 1 {
+			visit(v, bits.TrailingZeros64(m), d)
+		}
+	}
+}
+
+// multiSource runs one unweighted multi-source sweep on fresh scratch,
+// reporting every reached (lane, node) pair separately.
+func multiSource(g *graph.Graph, sources []graph.NodeID, visit func(v graph.NodeID, lane int, d int32)) {
+	MultiSourceMasksInto(g, sources, NewMSScratch(g.NumNodes(), 1), perLane(visit))
+}
+
+// multiSourceW is multiSource over the lane-masked Dial kernel.
+func multiSourceW(g *graph.WGraph, sources []graph.NodeID, visit func(v graph.NodeID, lane int, d int32)) {
+	multiSourceWMasksInto(g, sources, NewMSScratch(g.NumNodes(), g.MaxWeight()), perLane(visit))
 }
 
 func TestDistancesPath(t *testing.T) {
@@ -63,7 +94,7 @@ func TestWDistancesWeightedPath(t *testing.T) {
 	// 0 -5- 1 -1- 2, plus direct 0 -7- 2: shortest 0→2 is 6.
 	g := graph.FromWeightedEdges(3, [][3]int32{{0, 1, 5}, {1, 2, 1}, {0, 2, 7}})
 	dist := make([]int32, 3)
-	WDistances(g, 0, dist, nil)
+	wDistances(g, 0, dist, nil)
 	if dist[0] != 0 || dist[1] != 5 || dist[2] != 6 {
 		t.Fatalf("dist = %v, want [0 5 6]", dist)
 	}
@@ -76,16 +107,19 @@ func TestWDistancesEqualsBFSOnUnweighted(t *testing.T) {
 	d1 := make([]int32, 50)
 	d2 := make([]int32, 50)
 	Distances(g, 13, d1, nil)
-	WDistances(wg, 13, d2, nil)
+	wDistances(wg, 13, d2, nil)
 	for i := range d1 {
 		if d1[i] != d2[i] {
 			t.Fatalf("dist[%d]: BFS=%d Dial=%d", i, d1[i], d2[i])
 		}
 	}
-	WDistancesBFS(wg, 13, d2, nil)
+	s := NewScratch(50, wg.MaxWeight())
+	if err := WDistancesAutoCtx(context.Background(), wg, true, 13, s); err != nil {
+		t.Fatal(err)
+	}
 	for i := range d1 {
-		if d1[i] != d2[i] {
-			t.Fatalf("WDistancesBFS dist[%d]: %d vs %d", i, d2[i], d1[i])
+		if d1[i] != s.Dist[i] {
+			t.Fatalf("unweighted WDistancesAutoCtx dist[%d]: %d vs %d", i, s.Dist[i], d1[i])
 		}
 	}
 }
@@ -106,7 +140,7 @@ func TestWDistancesAgainstBellmanFord(t *testing.T) {
 		g := b.Build()
 		src := int32(rng.Intn(n))
 		dist := make([]int32, n)
-		WDistances(g, src, dist, nil)
+		wDistances(g, src, dist, nil)
 
 		// Bellman-Ford reference.
 		const inf = int32(1 << 30)
@@ -159,7 +193,9 @@ func TestHybridDistancesMatchesBFS(t *testing.T) {
 		d1 := make([]int32, n)
 		d2 := make([]int32, n)
 		Distances(g, src, d1, nil)
-		HybridDistances(g, src, d2, s)
+		if err := HybridDistancesCtx(context.Background(), g, src, d2, s); err != nil {
+			return false
+		}
 		for i := range d1 {
 			if d1[i] != d2[i] {
 				return false
@@ -188,7 +224,9 @@ func TestHybridDistancesDenseBottomUp(t *testing.T) {
 	d1 := make([]int32, n)
 	d2 := make([]int32, n)
 	Distances(g, 0, d1, nil)
-	HybridDistances(g, 0, d2, nil)
+	if err := HybridDistancesCtx(context.Background(), g, 0, d2, nil); err != nil {
+		t.Fatal(err)
+	}
 	for i := range d1 {
 		if d1[i] != d2[i] {
 			t.Fatalf("dist[%d]: BFS=%d hybrid=%d", i, d1[i], d2[i])
@@ -196,8 +234,9 @@ func TestHybridDistancesDenseBottomUp(t *testing.T) {
 	}
 }
 
-// WHybridDistancesAuto matches WDistancesAuto on both unweighted and
-// weighted graphs (the latter shares the Dial path).
+// WHybridDistancesBFSCtx on an all-weights-one graph matches the plain
+// unweighted dispatch of WDistancesAutoCtx, with both scratches reused across
+// sources the way the per-source drivers reuse them.
 func TestWHybridAutoMatchesWAuto(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	n := 90
@@ -205,9 +244,14 @@ func TestWHybridAutoMatchesWAuto(t *testing.T) {
 	wg := g.ToWeighted()
 	s1 := NewScratch(n, wg.MaxWeight())
 	s2 := NewScratch(n, wg.MaxWeight())
+	ctx := context.Background()
 	for src := int32(0); src < 10; src++ {
-		WDistancesAuto(wg, true, src, s1)
-		WHybridDistancesAuto(wg, true, src, s2)
+		if err := WDistancesAutoCtx(ctx, wg, true, src, s1); err != nil {
+			t.Fatal(err)
+		}
+		if err := WHybridDistancesBFSCtx(ctx, wg, src, s2.Dist, s2); err != nil {
+			t.Fatal(err)
+		}
 		for i := range s1.Dist {
 			if s1.Dist[i] != s2.Dist[i] {
 				t.Fatalf("src %d dist[%d]: auto=%d hybrid=%d", src, i, s1.Dist[i], s2.Dist[i])
@@ -228,14 +272,23 @@ func TestExactFarnessPath(t *testing.T) {
 	}
 }
 
+// Farness summed from the weighted kernels on the all-weights-one copy of g
+// — both the BFS and the Dial side of WDistancesAutoCtx — equals the
+// unweighted oracle.
 func TestExactFarnessWMatchesUnweighted(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g := randomConnected(rng, 40)
+	wg := g.ToWeighted()
 	f1 := ExactFarness(g, 3)
-	f2 := ExactFarnessW(g.ToWeighted(), 3)
-	for i := range f1 {
-		if f1[i] != f2[i] {
-			t.Fatalf("farness[%d]: %v vs %v", i, f1[i], f2[i])
+	s := NewScratch(40, wg.MaxWeight())
+	for _, unweighted := range []bool{true, false} {
+		for v := range f1 {
+			if err := WDistancesAutoCtx(context.Background(), wg, unweighted, graph.NodeID(v), s); err != nil {
+				t.Fatal(err)
+			}
+			if sum, _ := Sum(s.Dist); float64(sum) != f1[v] {
+				t.Fatalf("unweighted=%v farness[%d]: %v vs %v", unweighted, v, sum, f1[v])
+			}
 		}
 	}
 }
@@ -252,7 +305,11 @@ func TestEccentricity(t *testing.T) {
 func TestAllPairsSymmetric(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomConnected(rng, 30)
-	ap := AllPairs(g)
+	ap := make([][]int32, 30)
+	for v := range ap {
+		ap[v] = make([]int32, 30)
+		Distances(g, graph.NodeID(v), ap[v], nil)
+	}
 	for u := 0; u < 30; u++ {
 		for v := 0; v < 30; v++ {
 			if ap[u][v] != ap[v][u] {

@@ -7,19 +7,14 @@ import (
 	"repro/internal/par"
 )
 
-// PointToPoint returns d(s, t) using bidirectional BFS: both endpoints
+// PointToPointCtx returns d(s, t) using bidirectional BFS: both endpoints
 // expand level by level, always growing the smaller frontier, and stop one
 // level after the frontiers first touch. On small-world graphs this visits
 // O(√) of the nodes a full BFS would — it backs the server's /v1/distance
-// endpoint. Returns -1 when t is unreachable from s.
-func PointToPoint(g *graph.Graph, s, t graph.NodeID) int32 {
-	return pointToPointDone(g, s, t, nil)
-}
-
-// PointToPointCtx is PointToPoint with cooperative cancellation, polled once
-// per expansion level — the form the server's /distance handler uses so a
-// closed request or deadline abandons the search. On a non-nil error the
-// distance is meaningless and must be discarded.
+// endpoint. Returns -1 (Unreached) when t is unreachable from s.
+// Cancellation is polled once per expansion level, so a closed request or
+// deadline abandons the search; on a non-nil error the distance is
+// meaningless and must be discarded.
 func PointToPointCtx(ctx context.Context, g *graph.Graph, s, t graph.NodeID) (int32, error) {
 	d := pointToPointDone(g, s, t, ctx.Done())
 	if err := par.CtxErr(ctx); err != nil {

@@ -1,12 +1,19 @@
 package bfs
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/graph"
 )
+
+// pointToPoint is an uninterruptible PointToPointCtx query.
+func pointToPoint(g *graph.Graph, s, t graph.NodeID) int32 {
+	d, _ := PointToPointCtx(context.Background(), g, s, t)
+	return d
+}
 
 func TestPointToPointBasics(t *testing.T) {
 	g := graph.FromEdges(6, [][2]int32{{0, 1}, {1, 2}, {2, 3}, {3, 4}})
@@ -18,7 +25,7 @@ func TestPointToPointBasics(t *testing.T) {
 		{0, 5, -1}, // node 5 isolated
 	}
 	for _, c := range cases {
-		if got := PointToPoint(g, c.s, c.t); got != c.want {
+		if got := pointToPoint(g, c.s, c.t); got != c.want {
 			t.Errorf("d(%d,%d) = %d, want %d", c.s, c.t, got, c.want)
 		}
 	}
@@ -44,10 +51,10 @@ func TestPointToPointEdgeCasesAllocFree(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := PointToPoint(c.g, c.s, c.t); got != c.want {
+			if got := pointToPoint(c.g, c.s, c.t); got != c.want {
 				t.Fatalf("d(%d,%d) = %d, want %d", c.s, c.t, got, c.want)
 			}
-			allocs := testing.AllocsPerRun(20, func() { PointToPoint(c.g, c.s, c.t) })
+			allocs := testing.AllocsPerRun(20, func() { pointToPoint(c.g, c.s, c.t) })
 			if allocs != 0 {
 				t.Fatalf("d(%d,%d) allocated %.0f objects, want 0", c.s, c.t, allocs)
 			}
@@ -60,7 +67,7 @@ func TestPointToPointEdgeCasesAllocFree(t *testing.T) {
 func TestPointToPointDisconnectedComponents(t *testing.T) {
 	g := graph.FromEdges(7, [][2]int32{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 6}})
 	for _, c := range [][2]graph.NodeID{{0, 3}, {3, 0}, {2, 6}} {
-		if got := PointToPoint(g, c[0], c[1]); got != Unreached {
+		if got := pointToPoint(g, c[0], c[1]); got != Unreached {
 			t.Fatalf("d(%d,%d) = %d, want %d", c[0], c[1], got, Unreached)
 		}
 	}
@@ -83,7 +90,7 @@ func TestPointToPointMatchesBFS(t *testing.T) {
 			s := graph.NodeID(rng.Intn(n))
 			tt := graph.NodeID(rng.Intn(n))
 			Distances(g, s, dist, nil)
-			if got := PointToPoint(g, s, tt); got != dist[tt] {
+			if got := pointToPoint(g, s, tt); got != dist[tt] {
 				return false
 			}
 		}
@@ -101,7 +108,7 @@ func BenchmarkPointToPointVsBFS(b *testing.B) {
 	dist := make([]int32, n)
 	b.Run("bidirectional", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			PointToPoint(g, graph.NodeID(i%n), graph.NodeID((i*7919+13)%n))
+			pointToPoint(g, graph.NodeID(i%n), graph.NodeID((i*7919+13)%n))
 		}
 	})
 	b.Run("full-bfs", func(b *testing.B) {

@@ -63,8 +63,10 @@ func TestWDistancesCtxMatchesPlain(t *testing.T) {
 	n := g.NumNodes()
 	want := make([]int32, n)
 	got := make([]int32, n)
-	WDistances(g, 5, want, nil)
-	if err := WDistancesCtx(context.Background(), g, 5, got, nil); err != nil {
+	wDistancesDone(g, 5, want, nil, nil) // the kernel with no done channel
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := WDistancesCtx(ctx, g, 5, got, nil); err != nil {
 		t.Fatalf("live ctx: %v", err)
 	}
 	for i := range want {
@@ -85,6 +87,8 @@ func TestWDistancesCtxPreCanceled(t *testing.T) {
 	}
 }
 
+// A live ctx that never fires leaves the batch driver's farness equal to
+// plain per-source BFS sums.
 func TestRunBatchesCtxMatchesPlain(t *testing.T) {
 	g := cancelTestGraph(t)
 	n := g.NumNodes()
@@ -92,16 +96,16 @@ func TestRunBatchesCtxMatchesPlain(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		sources = append(sources, graph.NodeID((i*37)%n))
 	}
-	// Accumulate per-lane farness with plain and ctx drivers; they must agree.
 	plain := make([]int64, len(sources))
-	RunBatches(g, sources, 4, func(_, base int, batch []graph.NodeID, rows [][]int32) {
-		for lane := range batch {
-			s, _ := Sum(rows[lane])
-			plain[base+lane] = s
-		}
-	})
+	dist := make([]int32, n)
+	for i, src := range sources {
+		Distances(g, src, dist, nil)
+		plain[i], _ = Sum(dist)
+	}
 	withCtx := make([]int64, len(sources))
-	err := RunBatchesCtx(context.Background(), g, sources, 4, func(_, base int, batch []graph.NodeID, rows [][]int32) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	err := RunBatchesCtx(ctx, g, sources, 4, func(_, base int, batch []graph.NodeID, rows [][]int32) {
 		for lane := range batch {
 			s, _ := Sum(rows[lane])
 			withCtx[base+lane] = s
@@ -139,18 +143,20 @@ func TestRunBatchesCtxCanceledMidRun(t *testing.T) {
 	}
 }
 
+// The weighted driver under a live ctx matches plain per-source Dial sums.
 func TestRunBatchesWCtxMatchesPlain(t *testing.T) {
 	g := cancelTestWGraph(t)
 	sources := []graph.NodeID{0, 17, 99, 1033, 2048}
 	plain := make([]int64, len(sources))
-	RunBatchesW(g, sources, 2, func(_, base int, batch []graph.NodeID, rows [][]int32) {
-		for lane := range batch {
-			s, _ := Sum(rows[lane])
-			plain[base+lane] = s
-		}
-	})
+	dist := make([]int32, g.NumNodes())
+	for i, src := range sources {
+		wDistancesDone(g, src, dist, nil, nil)
+		plain[i], _ = Sum(dist)
+	}
 	withCtx := make([]int64, len(sources))
-	err := RunBatchesWCtx(context.Background(), g, sources, 2, func(_, base int, batch []graph.NodeID, rows [][]int32) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	err := RunBatchesWCtx(ctx, g, sources, 2, func(_, base int, batch []graph.NodeID, rows [][]int32) {
 		for lane := range batch {
 			s, _ := Sum(rows[lane])
 			withCtx[base+lane] = s

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -53,7 +54,7 @@ func BenchmarkEngineOrderingMatrix(b *testing.B) {
 				s := NewScratch(g.NumNodes(), 0)
 				for i := 0; i < b.N; i++ {
 					for _, src := range sources {
-						HybridDistances(g, src, s.Dist, s)
+						_ = HybridDistancesCtx(context.Background(), g, src, s.Dist, s)
 					}
 				}
 			})
@@ -61,9 +62,9 @@ func BenchmarkEngineOrderingMatrix(b *testing.B) {
 				s := NewMSScratch(g.NumNodes(), 1)
 				var sink int64
 				for i := 0; i < b.N; i++ {
-					MultiSourceInto(g, sources, s, func(v graph.NodeID, lane int, d int32) {
+					MultiSourceMasksInto(g, sources, s, perLane(func(v graph.NodeID, lane int, d int32) {
 						sink += int64(d)
-					})
+					}))
 				}
 				_ = sink
 			})

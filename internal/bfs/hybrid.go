@@ -10,7 +10,7 @@ import (
 // This file holds the direction-optimising (Beamer-style push/pull hybrid)
 // per-source BFS. Top-down ("push") levels expand the frontier through its
 // out-edges; once the frontier's out-edge count mf exceeds a fraction of the
-// unexplored edges mu (the DefaultTuning rule, see tuning.go), the kernel
+// unexplored edges mu (see pullLevel in tuning.go), the kernel
 // flips to bottom-up ("pull") levels, where every unvisited node scans its
 // own neighbours for a frontier member and stops at the first hit — on
 // low-diameter graphs the one or two widest levels dominate the edge scans,
@@ -24,66 +24,27 @@ import (
 // implementation serves both the simple and the all-weights-one contracted
 // graphs.
 
-// The push/pull switching rule and its alpha/beta/floor constants live in
-// tuning.go (DirectionTuning / DefaultTuning / pullLevel), shared with the
-// msbfs pull path and the frontier-parallel engine.
-
-// HybridDistances runs a direction-optimising BFS from src, filling dist
-// like Distances (hop counts, Unreached for unreachable nodes). s may be
+// HybridDistancesCtx runs a direction-optimising BFS from src, filling dist
+// like Distances (hop counts, Unreached for unreachable nodes), with
+// cooperative cancellation polled at frontier-level boundaries. s may be
 // nil, in which case scratch is allocated; the per-source drivers pass a
 // pooled per-worker Scratch.
-func HybridDistances(g *graph.Graph, src graph.NodeID, dist []int32, s *Scratch) {
-	offsets, adj := g.CSR()
-	hybridDone(offsets, adj, src, dist, s, nil)
-}
-
-// HybridDistancesCtx is HybridDistances with cooperative cancellation,
-// polled at frontier-level boundaries.
 func HybridDistancesCtx(ctx context.Context, g *graph.Graph, src graph.NodeID, dist []int32, s *Scratch) error {
 	offsets, adj := g.CSR()
 	hybridDone(offsets, adj, src, dist, s, ctx.Done())
 	return par.CtxErr(ctx)
 }
 
-// WHybridDistancesBFS is HybridDistances over a weighted graph whose weights
-// are all 1; callers guarantee the precondition (graph.WGraph.Unweighted).
-func WHybridDistancesBFS(g *graph.WGraph, src graph.NodeID, dist []int32, s *Scratch) {
-	offsets, adj, _ := g.CSR()
-	hybridDone(offsets, adj, src, dist, s, nil)
-}
-
-// WHybridDistancesBFSCtx is WHybridDistancesBFS with cooperative
-// cancellation, the form the block-local drivers use: the caller picks the
-// dist row (typically a prefix of pooled scratch sized to the block).
+// WHybridDistancesBFSCtx is HybridDistancesCtx over a weighted graph whose
+// weights are all 1; callers guarantee the precondition
+// (graph.WGraph.Unweighted) and pick the dist row (the block-local drivers
+// pass a prefix of pooled scratch sized to the block). Pull sweeps need the
+// unit-weight guarantee — a pulled edge must close exactly one level — so
+// weighted graphs keep Dial.
 func WHybridDistancesBFSCtx(ctx context.Context, g *graph.WGraph, src graph.NodeID, dist []int32, s *Scratch) error {
 	offsets, adj, _ := g.CSR()
 	hybridDone(offsets, adj, src, dist, s, ctx.Done())
 	return par.CtxErr(ctx)
-}
-
-// WHybridDistancesAuto dispatches to the hybrid BFS when the graph is
-// unweighted (cached by the caller) and Dial otherwise — the
-// direction-optimising counterpart of WDistancesAuto. Pull sweeps need the
-// unit-weight guarantee (a pulled edge must close exactly one level), so
-// weighted graphs keep the bucket queue.
-func WHybridDistancesAuto(g *graph.WGraph, unweighted bool, src graph.NodeID, s *Scratch) {
-	wHybridAutoDone(g, unweighted, src, s, nil)
-}
-
-// WHybridDistancesAutoCtx is WHybridDistancesAuto with cooperative
-// cancellation.
-func WHybridDistancesAutoCtx(ctx context.Context, g *graph.WGraph, unweighted bool, src graph.NodeID, s *Scratch) error {
-	wHybridAutoDone(g, unweighted, src, s, ctx.Done())
-	return par.CtxErr(ctx)
-}
-
-func wHybridAutoDone(g *graph.WGraph, unweighted bool, src graph.NodeID, s *Scratch, done <-chan struct{}) {
-	if unweighted {
-		offsets, adj, _ := g.CSR()
-		hybridDone(offsets, adj, src, s.Dist, s, done)
-		return
-	}
-	wDistancesDone(g, src, s.Dist, s.B, done)
 }
 
 // hybridDone is the direction-optimising kernel over raw CSR arrays with an
@@ -91,7 +52,7 @@ func wHybridAutoDone(g *graph.WGraph, unweighted bool, src graph.NodeID, s *Scra
 // up to the whole graph, so per-pop budgets don't apply).
 func hybridDone(offsets []int64, adj []graph.NodeID, src graph.NodeID, dist []int32, s *Scratch, done <-chan struct{}) {
 	n := len(offsets) - 1
-	Fill(dist)
+	fill(dist)
 	if s == nil {
 		s = &Scratch{}
 	}
@@ -100,7 +61,7 @@ func hybridDone(offsets []int64, adj []graph.NodeID, src graph.NodeID, dist []in
 	dist[src] = 0
 	frontier = append(frontier, src)
 	mf := offsets[src+1] - offsets[src] // out-edges of the current frontier
-	mu := int64(len(adj)) - mf         // directed edges not yet explored
+	mu := int64(len(adj)) - mf          // directed edges not yet explored
 	bottomUp := false
 
 	for d := int32(1); len(frontier) > 0; d++ {

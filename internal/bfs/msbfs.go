@@ -1,8 +1,6 @@
 package bfs
 
 import (
-	"math/bits"
-
 	"repro/internal/graph"
 	"repro/internal/par"
 	"repro/internal/queue"
@@ -80,48 +78,21 @@ func (s *MSScratch) reset(n int) {
 	clear(s.next[:n])
 }
 
-// MultiSource runs a bit-parallel breadth-first search from up to 64
-// sources simultaneously (the "more the merrier" technique: one uint64 per
-// node carries one lane per source, so a single edge scan advances all
-// sources at once). It calls visit(v, lane, d) exactly once per reached
-// (source, node) pair with the hop distance d — including (s, s, 0).
+// MultiSourceMasksInto runs a bit-parallel breadth-first search from up to
+// 64 sources simultaneously (the "more the merrier" technique: one uint64
+// per node carries one lane per source, so a single edge scan advances all
+// sources at once). visit is called with the set of lanes that reach v at
+// hop distance d, packed as a bitmask; every reached (source, node) pair is
+// covered by exactly one call, including (s, s, 0). When lane frontiers
+// coincide — the whole point of proximity-clustered batching — one call
+// replaces up to 64, which lets accumulating handlers add d·popcount(mask)
+// instead of looping lanes.
 //
-// Sampling-based centrality wants exactly this access pattern: the k
-// sampled sources all traverse the same graph, and batching them divides
-// the number of edge scans by up to 64 on overlapping frontiers.
-//
-// The kernel is sequential by design; callers parallelise across batches
-// (see RunBatches and MultiSourceFarness).
-func MultiSource(g *graph.Graph, sources []graph.NodeID, visit func(v graph.NodeID, lane int, d int32)) {
-	MultiSourceInto(g, sources, NewMSScratch(g.NumNodes(), 1), visit)
-}
-
-// MultiSourceInto is MultiSource with caller-provided scratch, the form the
-// batch drivers use to avoid per-batch allocation.
-func MultiSourceInto(g *graph.Graph, sources []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, lane int, d int32)) {
-	offsets, adj := g.CSR()
-	msLevelSync(offsets, adj, sources, s, expandMask(visit))
-}
-
-// MultiSourceMasksInto is MultiSourceInto at mask granularity: visit is
-// called with the set of lanes that reach v at distance d, packed as a
-// bitmask, instead of once per lane. When lane frontiers coincide — the
-// whole point of proximity-clustered batching — one call replaces up to 64,
-// which lets accumulating handlers add d·popcount(mask) instead of looping
-// lanes. Expanding every mask bit-by-bit recovers exactly the per-lane visit
-// sequence of MultiSourceInto.
+// The kernel is sequential by design and reuses the caller's scratch;
+// callers parallelise across batches (see RunBatchesCtx).
 func MultiSourceMasksInto(g *graph.Graph, sources []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
 	offsets, adj := g.CSR()
 	msLevelSync(offsets, adj, sources, s, visit)
-}
-
-// expandMask adapts a per-lane visitor to the mask-level kernel interface.
-func expandMask(visit func(v graph.NodeID, lane int, d int32)) func(v graph.NodeID, mask uint64, d int32) {
-	return func(v graph.NodeID, mask uint64, d int32) {
-		for m := mask; m != 0; m &= m - 1 {
-			visit(v, bits.TrailingZeros64(m), d)
-		}
-	}
 }
 
 // msLevelSync is the level-synchronous bit-parallel kernel over raw CSR
@@ -155,7 +126,7 @@ func msLevelSync(offsets []int64, adj []graph.NodeID, sources []graph.NodeID, s 
 		return
 	}
 	if len(sources) > MSBFSWidth {
-		panic("bfs: MultiSource supports at most 64 sources per batch")
+		panic("bfs: a multi-source sweep carries at most 64 sources")
 	}
 	n := len(offsets) - 1
 	s.reset(n)
@@ -362,29 +333,4 @@ func msMergedTail(offsets []int64, adj []graph.NodeID, s *MSScratch, active uint
 		mf = nmf
 	}
 	return frontier, touched
-}
-
-// MultiSourceFarness computes, for every node, the sum of distances from
-// the given sources (the random-sampling accumulator of Algorithm 1) plus
-// the exact farness of each source, using 64-wide multi-source sweeps.
-// It returns acc[v] = Σ_s d(s,v) and far[i] = farness(sources[i]) within
-// the source's component.
-func MultiSourceFarness(g *graph.Graph, sources []graph.NodeID) (acc []int64, far []int64) {
-	n := g.NumNodes()
-	acc = make([]int64, n)
-	far = make([]int64, len(sources))
-	s := NewMSScratch(n, 1)
-	for base := 0; base < len(sources); base += MSBFSWidth {
-		hi := base + MSBFSWidth
-		if hi > len(sources) {
-			hi = len(sources)
-		}
-		batch := sources[base:hi]
-		laneFar := far[base:hi]
-		MultiSourceMasksInto(g, batch, s, func(v graph.NodeID, mask uint64, d int32) {
-			acc[v] += int64(d) * int64(bits.OnesCount64(mask))
-			AccumulateLanes(laneFar, mask, int64(d))
-		})
-	}
-	return acc, far
 }

@@ -1,6 +1,7 @@
 package bfs
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,7 +14,7 @@ func TestMultiSourceMatchesSequentialBFS(t *testing.T) {
 	g := randomConnected(rng, 200)
 	sources := []graph.NodeID{0, 5, 17, 42, 199}
 	got := make(map[[2]int32]int32)
-	MultiSource(g, sources, func(v graph.NodeID, lane int, d int32) {
+	multiSource(g, sources, func(v graph.NodeID, lane int, d int32) {
 		key := [2]int32{int32(lane), v}
 		if _, dup := got[key]; dup {
 			t.Fatalf("duplicate visit for lane %d node %d", lane, v)
@@ -42,7 +43,7 @@ func TestMultiSourceMatchesSequentialBFS(t *testing.T) {
 func TestMultiSourceDuplicateSources(t *testing.T) {
 	g := graph.FromEdges(3, [][2]int32{{0, 1}, {1, 2}})
 	counts := map[int]int{}
-	MultiSource(g, []graph.NodeID{1, 1}, func(v graph.NodeID, lane int, d int32) {
+	multiSource(g, []graph.NodeID{1, 1}, func(v graph.NodeID, lane int, d int32) {
 		counts[lane]++
 	})
 	if counts[0] != 3 || counts[1] != 3 {
@@ -52,7 +53,7 @@ func TestMultiSourceDuplicateSources(t *testing.T) {
 
 func TestMultiSourceEmptyAndLimits(t *testing.T) {
 	g := graph.FromEdges(2, [][2]int32{{0, 1}})
-	MultiSource(g, nil, func(graph.NodeID, int, int32) {
+	multiSource(g, nil, func(graph.NodeID, int, int32) {
 		t.Fatal("no sources should mean no visits")
 	})
 	defer func() {
@@ -61,10 +62,31 @@ func TestMultiSourceEmptyAndLimits(t *testing.T) {
 		}
 	}()
 	many := make([]graph.NodeID, 65)
-	MultiSource(g, many, func(graph.NodeID, int, int32) {})
+	multiSource(g, many, func(graph.NodeID, int, int32) {})
 }
 
-// Property: MultiSourceFarness equals per-source BFS sums on random graphs
+// multiSourceFarness computes, for every node, the sum of distances from the
+// given sources (the random-sampling accumulator of Algorithm 1) plus the
+// exact farness of each source, with 64-wide mask sweeps accumulated the way
+// the estimators do: acc[v] = Σ_s d(s,v) and far[i] = farness(sources[i])
+// within the source's component.
+func multiSourceFarness(g *graph.Graph, sources []graph.NodeID) (acc []int64, far []int64) {
+	n := g.NumNodes()
+	acc = make([]int64, n)
+	far = make([]int64, len(sources))
+	s := NewMSScratch(n, 1)
+	for base := 0; base < len(sources); base += MSBFSWidth {
+		hi := min(base+MSBFSWidth, len(sources))
+		laneFar := far[base:hi]
+		MultiSourceMasksInto(g, sources[base:hi], s, func(v graph.NodeID, mask uint64, d int32) {
+			acc[v] += int64(d) * int64(bits.OnesCount64(mask))
+			AccumulateLanes(laneFar, mask, int64(d))
+		})
+	}
+	return acc, far
+}
+
+// Property: multiSourceFarness equals per-source BFS sums on random graphs
 // with random batch sizes (crossing the 64-lane boundary).
 func TestMultiSourceFarnessProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -79,7 +101,7 @@ func TestMultiSourceFarnessProperty(t *testing.T) {
 		for i := range sources {
 			sources[i] = graph.NodeID(rng.Intn(n))
 		}
-		acc, far := MultiSourceFarness(g, sources)
+		acc, far := multiSourceFarness(g, sources)
 
 		wantAcc := make([]int64, n)
 		dist := make([]int32, n)
@@ -117,7 +139,7 @@ func BenchmarkMultiSourceVsSequential(b *testing.B) {
 	b.Run("ms64", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			var total int64
-			MultiSource(g, sources, func(_ graph.NodeID, _ int, d int32) { total += int64(d) })
+			multiSource(g, sources, func(_ graph.NodeID, _ int, d int32) { total += int64(d) })
 		}
 	})
 	b.Run("seq64", func(b *testing.B) {
@@ -154,9 +176,9 @@ func TestMultiSourceDenseBottomUp(t *testing.T) {
 	rows := make([][]int32, len(sources))
 	for i := range rows {
 		rows[i] = make([]int32, n)
-		Fill(rows[i])
+		fill(rows[i])
 	}
-	MultiSource(g, sources, func(v graph.NodeID, lane int, d int32) {
+	multiSource(g, sources, func(v graph.NodeID, lane int, d int32) {
 		if rows[lane][v] != Unreached {
 			t.Fatalf("duplicate visit for lane %d node %d", lane, v)
 		}

@@ -15,10 +15,15 @@ import (
 // every graph family the paper evaluates.
 const MSMaxBucketWeight = 512
 
-// MultiSourceW runs a lane-masked Dial (bucket-queue) shortest-path sweep
-// from up to 64 sources simultaneously over an integer-weighted graph. Like
-// MultiSource it calls visit(v, lane, d) exactly once per reached
-// (source, node) pair, with d the weighted shortest-path distance.
+// multiSourceWMasksInto runs a lane-masked Dial (bucket-queue)
+// shortest-path sweep from up to 64 sources simultaneously over an
+// integer-weighted graph. visit receives the lanes newly settled at v for
+// weighted distance d as a bitmask. Unlike the unweighted kernel, the same
+// (v, d) pair may be reported across several calls — bucket entries arriving
+// from different predecessors settle disjoint lane subsets — but each
+// (source, node) pair is covered exactly once over the whole sweep. The
+// scratch must have been created with at least the graph's maximum edge
+// weight.
 //
 // The kernel generalises Dial's monotone bucket ring to lane masks: each
 // bucket holds (node, mask) entries meaning "the lanes in mask may reach
@@ -27,30 +32,12 @@ const MSMaxBucketWeight = 512
 // per-node seen mask. Entries landing on the same node at the same distance
 // are coalesced before edge relaxation, so lanes whose frontiers coincide
 // share one edge scan — the same win the unweighted kernel gets per level.
-func MultiSourceW(g *graph.WGraph, sources []graph.NodeID, visit func(v graph.NodeID, lane int, d int32)) {
-	MultiSourceWInto(g, sources, NewMSScratch(g.NumNodes(), g.MaxWeight()), visit)
-}
-
-// MultiSourceWInto is MultiSourceW with caller-provided scratch. The
-// scratch must have been created with at least the graph's maximum edge
-// weight.
-func MultiSourceWInto(g *graph.WGraph, sources []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, lane int, d int32)) {
-	MultiSourceWMasksInto(g, sources, s, expandMask(visit))
-}
-
-// MultiSourceWMasksInto is MultiSourceWInto at mask granularity: visit
-// receives the lanes newly settled at v for distance d as a bitmask. Unlike
-// the unweighted kernel, the same (v, d) pair may be reported across several
-// calls — bucket entries arriving from different predecessors settle
-// disjoint lane subsets — but each (source, node) pair is still covered
-// exactly once over the whole sweep, so expanding every mask bit-by-bit
-// recovers the per-lane visit sequence of MultiSourceWInto.
-func MultiSourceWMasksInto(g *graph.WGraph, sources []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
+func multiSourceWMasksInto(g *graph.WGraph, sources []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
 	if len(sources) == 0 {
 		return
 	}
 	if len(sources) > MSBFSWidth {
-		panic("bfs: MultiSourceW supports at most 64 sources per batch")
+		panic("bfs: a multi-source sweep carries at most 64 sources")
 	}
 	n := g.NumNodes()
 	s.reset(n)
@@ -121,17 +108,6 @@ func MultiSourceWMasksInto(g *graph.WGraph, sources []graph.NodeID, s *MSScratch
 	s.levelNodes = levelNodes[:0]
 }
 
-// multiSourceLevelSyncW is the unweighted multi-source kernel running over a
-// WGraph whose weights are all 1 (the common case after reductions that
-// contracted nothing); it avoids the bucket ring entirely and shares the
-// direction-optimising level-sync kernel with the simple-graph entry point.
-// Callers guarantee the all-weights-one precondition
-// (graph.WGraph.Unweighted).
-func multiSourceLevelSyncW(g *graph.WGraph, sources []graph.NodeID, s *MSScratch, visit func(v graph.NodeID, mask uint64, d int32)) {
-	offsets, adj, _ := g.CSR()
-	msLevelSync(offsets, adj, sources, s, visit)
-}
-
 // MultiSourceWRows fills rows[lane][v] with the shortest-path distance from
 // batch[lane] to v (Unreached where unreachable), choosing the best kernel
 // for the graph: the level-synchronous bit-parallel sweep when every weight
@@ -141,14 +117,17 @@ func multiSourceLevelSyncW(g *graph.WGraph, sources []graph.NodeID, s *MSScratch
 // length g.NumNodes(); the scratch must cover the graph's size and weight.
 func MultiSourceWRows(g *graph.WGraph, unweighted bool, batch []graph.NodeID, s *MSScratch, rows [][]int32) {
 	for lane := range batch {
-		Fill(rows[lane])
+		fill(rows[lane])
 	}
-	fill := maskRowFill(rows, len(batch))
+	rowFill := maskRowFill(rows, len(batch))
 	switch {
 	case unweighted:
-		multiSourceLevelSyncW(g, batch, s, fill)
+		// All weights are 1: the level-synchronous kernel over the raw CSR
+		// arrays, with no bucket ring.
+		offsets, adj, _ := g.CSR()
+		msLevelSync(offsets, adj, batch, s, rowFill)
 	case g.MaxWeight() <= MSMaxBucketWeight:
-		MultiSourceWMasksInto(g, batch, s, fill)
+		multiSourceWMasksInto(g, batch, s, rowFill)
 	default:
 		if s.fb == nil || s.fbMaxW < g.MaxWeight() {
 			s.fb = queue.NewBucket(g.MaxWeight())

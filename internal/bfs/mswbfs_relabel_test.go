@@ -62,7 +62,7 @@ func TestMultiSourceWRowsUnderRelabeling(t *testing.T) {
 				want := make([]int32, n)
 				b := queue.NewBucket(wg.MaxWeight())
 				for lane, src := range batch {
-					WDistances(wg, src, want, b)
+					wDistances(wg, src, want, b)
 					for v := 0; v < n; v++ {
 						if got := rows[lane][r.Perm[v]]; got != want[v] {
 							t.Fatalf("%s/%s/%s lane %d node %d: got %d, want %d",
@@ -93,9 +93,9 @@ func TestMultiSourceWMasksUnderRelabeling(t *testing.T) {
 	seen := make([][]int32, len(batch))
 	for i := range seen {
 		seen[i] = make([]int32, n)
-		Fill(seen[i])
+		fill(seen[i])
 	}
-	MultiSourceWMasksInto(rg, batchR, NewMSScratch(n, rg.MaxWeight()), func(v graph.NodeID, mask uint64, d int32) {
+	multiSourceWMasksInto(rg, batchR, NewMSScratch(n, rg.MaxWeight()), func(v graph.NodeID, mask uint64, d int32) {
 		for m := mask; m != 0; m &= m - 1 {
 			lane := bits.TrailingZeros64(m)
 			if seen[lane][v] != Unreached {
@@ -107,7 +107,7 @@ func TestMultiSourceWMasksUnderRelabeling(t *testing.T) {
 	want := make([]int32, n)
 	b := queue.NewBucket(wg.MaxWeight())
 	for lane, src := range batch {
-		WDistances(wg, src, want, b)
+		wDistances(wg, src, want, b)
 		for v := 0; v < n; v++ {
 			if got := seen[lane][r.Perm[v]]; got != want[v] {
 				t.Fatalf("lane %d node %d: got %d, want %d", lane, v, got, want[v])

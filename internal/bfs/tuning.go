@@ -1,18 +1,15 @@
 package bfs
 
-// DirectionTuning bundles the direction-optimisation (Beamer push/pull)
-// switching parameters shared by every traversal kernel in this package —
-// the per-source hybrid BFS (hybrid.go), the 64-lane multi-source pull path
-// (msbfs.go) and the frontier-parallel edge-map engine (frontier.go) all
-// consult the same rule through pullLevel, so one tuning decision governs
-// them all. This is the single home of these constants; kernels must not
-// copy them.
+// The direction-optimisation (Beamer push/pull) switching rule shared by the
+// per-source hybrid BFS (hybrid.go) and the 64-lane multi-source pull path
+// (msbfs.go): both consult pullLevel, so one tuning decision governs them.
+// This is the single home of these constants; kernels must not copy them.
 //
 // The rule: switch a level to bottom-up ("pull") when the frontier's
-// out-edge count mf exceeds mu/Alpha (mu = unexplored directed edges), the
-// frontier holds at least n/Beta nodes, and mf exceeds PullFloor·n.
+// out-edge count mf exceeds mu/pullAlpha (mu = unexplored directed edges),
+// the frontier holds at least n/pullBeta nodes, and mf exceeds pullFloor·n.
 //
-//   - Alpha: Beamer et al. use alpha = 14, tuned on suites with average
+//   - pullAlpha: Beamer et al. use alpha = 14, tuned on suites with average
 //     degree 16+ where a pull sweep's scan-until-hit exits quickly. On the
 //     sparse graphs this repo's generator families model (average degree
 //     3–6) the per-node scan is longer, so pull only pays once the
@@ -20,10 +17,10 @@ package bfs
 //     across all four families put the break-even near mu/4, and alpha = 4
 //     picks exactly the levels where pull wins while never firing on
 //     road-like graphs.
-//   - Beta: flipping back to push when the frontier has fewer than n/Beta
-//     nodes keeps the O(n) pull sweep off narrow waves and every BFS tail,
-//     where mu decays to zero and the alpha test fires vacuously.
-//   - PullFloor: the absolute cost floor of a pull level in units of n — the
+//   - pullBeta: flipping back to push when the frontier has fewer than
+//     n/pullBeta nodes keeps the O(n) pull sweep off narrow waves and every
+//     BFS tail, where mu decays to zero and the alpha test fires vacuously.
+//   - pullFloor: the absolute cost floor of a pull level in units of n — the
 //     sweep iterates every node, so pull can only beat push when the
 //     frontier's out-edge count exceeds a few multiples of n. Web-like
 //     graphs with average degree ~3 have wide levels whose mf barely reaches
@@ -32,26 +29,17 @@ package bfs
 // All three tests are stateless in (mf, mu, frontier), so kernels flip back
 // to push the moment the frontier's edge mass drops instead of waiting out a
 // hysteresis window.
-type DirectionTuning struct {
-	Alpha     int64
-	Beta      int64
-	PullFloor int64
-}
+const (
+	pullAlpha = 4
+	pullBeta  = 24
+	pullFloor = 2
+)
 
-// DefaultTuning is the package-wide tuning every kernel uses; see the
-// DirectionTuning doc comment for the rationale behind each value.
-var DefaultTuning = DirectionTuning{Alpha: 4, Beta: 24, PullFloor: 2}
-
-// PullLevel decides whether the next level of a traversal with frontier
+// pullLevel decides whether the next level of a traversal with frontier
 // out-edge mass mf, unexplored edge mass mu and the given frontier size
 // should run bottom-up.
-func (t DirectionTuning) PullLevel(mf, mu int64, frontierLen, n int) bool {
-	return mf > mu/t.Alpha &&
-		int64(frontierLen)*t.Beta >= int64(n) &&
-		mf > t.PullFloor*int64(n)
-}
-
-// pullLevel is the kernels' shorthand for DefaultTuning.PullLevel.
 func pullLevel(mf, mu int64, frontierLen, n int) bool {
-	return DefaultTuning.PullLevel(mf, mu, frontierLen, n)
+	return mf > mu/pullAlpha &&
+		int64(frontierLen)*pullBeta >= int64(n) &&
+		mf > pullFloor*int64(n)
 }

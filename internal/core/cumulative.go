@@ -379,15 +379,6 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 	}
 	var tasks []task
 	anyBatched := false
-	// Frontier-parallel blocks: a block whose sample share is too small to
-	// occupy the worker pool runs each of its sources on the edge-map engine
-	// (levels split across workers) instead of starving the per-source
-	// fan-out. The choice is per block, like the batching choice; tasks from
-	// frontier blocks still flow through the same dynamic task loop, with
-	// GOMAXPROCS bounding real parallelism when both levels fan out.
-	workersEff := par.Workers(opts.Workers)
-	frontierBlock := make([]bool, nb)
-	anyFrontier := false
 	for b := 0; b < nb; b++ {
 		ss := blockSamples[b]
 		if opts.Traversal.batched(len(ss)) && len(ss) > 1 {
@@ -425,10 +416,6 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 				tasks = append(tasks, task{int32(b), ss[base:hi]})
 			}
 		} else {
-			if opts.Traversal.Frontier(len(ss), workersEff, len(d.BlockNodes[b])) {
-				frontierBlock[b] = true
-				anyFrontier = true
-			}
 			for i := range ss {
 				tasks = append(tasks, task{int32(b), ss[i : i+1]})
 			}
@@ -449,7 +436,7 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 		}
 		sort.SliceStable(tasks, func(i, j int) bool { return hasCut(tasks[i]) && !hasCut(tasks[j]) })
 	}
-	workers := workersEff
+	workers := par.Workers(opts.Workers)
 	maxW := red.G.MaxWeight()
 	type ws struct {
 		s        *bfs.Scratch
@@ -458,14 +445,10 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 		rows     [][]int32      // 64-row distance slab over block-local ids
 		views    [][]int32      // rows re-sliced to the current block size
 		locals   []graph.NodeID
-		fs       *bfs.FrontierScratch // frontier-engine state, nil when unused
 	}
 	scratch := make([]ws, workers)
 	for i := range scratch {
 		w := ws{s: bfs.NewScratch(maxBlockNodes, maxW), distOrig: make([]int32, n)}
-		if anyFrontier {
-			w.fs = bfs.NewFrontierScratch()
-		}
 		if anyBatched {
 			w.ms = bfs.NewMSScratch(maxBlockNodes, maxW)
 			w.ms.SetDone(done)
@@ -500,15 +483,12 @@ func estimateCumulative(ctx context.Context, red *reduce.Reduction, opts *Option
 		}
 	}
 	useHybrid := opts.Traversal.hybrid()
-	// blockTraverse fills dist with the block-local distances from src under
-	// the block's chosen engine (frontier, hybrid BFS or Dial).
+	// blockTraverse fills dist with the block-local distances from src:
+	// hybrid BFS on unit-weight blocks under Auto, Dial otherwise.
 	blockTraverse := func(w *ws, b int32, src graph.NodeID, dist []int32) {
-		switch {
-		case frontierBlock[b]:
-			_ = bfs.WFrontierDistancesCtx(ctx, localG[b], localUnw[b], localSrc(b, src), dist, workers, w.fs)
-		case useHybrid && localUnw[b]:
+		if useHybrid && localUnw[b] {
 			_ = bfs.WHybridDistancesBFSCtx(ctx, localG[b], localSrc(b, src), dist, w.s)
-		default:
+		} else {
 			_ = bfs.WDistancesCtx(ctx, localG[b], localSrc(b, src), dist, w.s.B)
 		}
 	}

@@ -215,40 +215,13 @@ func estimateGlobal(ctx context.Context, red *reduce.Reduction, opts *Options) (
 		if err != nil {
 			return partialOr(err)
 		}
-	} else if opts.Traversal.Frontier(kEff, workers, nR) {
-		// Frontier-parallel engine: the transposed fan-out — sources run
-		// sequentially, each traversal splits its levels across the worker
-		// pool. Chosen when fewer sources than workers would leave most of
-		// the pool idle under per-source parallelism (or forced by
-		// TraversalFrontier). Per-row post-processing is identical to the
-		// per-source path, so the accumulated integers are too.
-		w := &scratch[0]
-		fs := bfs.NewFrontierScratch()
-		for i := 0; i < kEff; i++ {
-			if i < k {
-				srcR := samplesReduced[i]
-				if err := bfs.WFrontierDistancesCtx(ctx, tg, unweighted, permOf(srcR), w.s.Dist, workers, fs); err != nil {
-					return partialOr(err)
-				}
-				red.ScatterPerm(w.s.Dist, perm, w.distOrig)
-				red.Extend(w.distOrig)
-				accumulateRow(w, red.ToOld[srcR])
-				continue
-			}
-			// Augmentation source: frontier BFS on the original graph.
-			src := extraOrig[i-k]
-			if err := bfs.FrontierDistancesCtx(ctx, red.Orig, src, w.distOrig, workers, fs); err != nil {
-				return partialOr(err)
-			}
-			accumulateRow(w, src)
-		}
 	} else {
 		err := par.ForDynamicCtx(ctx, kEff, workers, 1, func(worker, i int) {
 			w := &scratch[worker]
 			if i < k {
 				srcR := samplesReduced[i]
 				if unweighted && opts.Traversal.hybrid() {
-					_ = bfs.WHybridDistancesAutoCtx(ctx, tg, true, permOf(srcR), w.s)
+					_ = bfs.WHybridDistancesBFSCtx(ctx, tg, permOf(srcR), w.s.Dist, w.s)
 				} else {
 					_ = bfs.WDistancesAutoCtx(ctx, tg, unweighted, permOf(srcR), w.s)
 				}

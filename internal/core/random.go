@@ -63,7 +63,7 @@ func RandomSamplingMode(g *graph.Graph, fraction float64, workers int, seed int6
 }
 
 // RandomSamplingModeContext is RandomSamplingMode with cooperative
-// cancellation — traversals stop at the next source (or frontier level) once
+// cancellation — traversals stop at the next source (or BFS level) once
 // ctx is done and the run returns a nil Result with an ErrCanceled-wrapping
 // error — plus an explicit batching mode: under the batched engine the
 // sampled source *order* may be rearranged by proximity before batching
@@ -149,21 +149,24 @@ func randomSampling(ctx context.Context, g *graph.Graph, fraction float64, worke
 		}
 		return nil, err
 	}
+	// Under the batched engine, proximity clustering may reorder the sampled
+	// sources (never the sample set) so each 64-wide batch covers one
+	// neighbourhood.
+	sources := samples
+	if mode.batched(k) && batching.clustered(k) {
+		pos := graph.Order(g, graph.RelabelBFS, workers).Perm
+		ord := clusterOrder(samples, pos)
+		sources = make([]graph.NodeID, k)
+		for i, j := range ord {
+			sources[i] = samples[j]
+		}
+	}
 	if mode.batched(k) && any != nil {
 		// Anytime batched path: the mask-granularity engine streams visits
 		// mid-sweep, which would leave torn rows in the accumulators on a
 		// cancellation. Consume whole rows instead — the same integers reach
 		// acc, so a full run stays bit-identical to the mask path; only the
 		// wall-clock differs.
-		sources := samples
-		if batching.clustered(k) {
-			pos := graph.Order(g, graph.RelabelBFS, workers).Perm
-			ord := clusterOrder(samples, pos)
-			sources = make([]graph.NodeID, k)
-			for i, j := range ord {
-				sources[i] = samples[j]
-			}
-		}
 		err := bfs.RunBatchesCtx(ctx, g, sources, workers, func(_, base int, batch []graph.NodeID, rows [][]int32) {
 			for lane, src := range batch {
 				accumulateAny(src, rows[lane])
@@ -178,15 +181,6 @@ func randomSampling(ctx context.Context, g *graph.Graph, fraction float64, worke
 		// per lane. When clustering merges the lane frontiers the common case
 		// is a single full-mask visit per node — 64 accumulator updates for
 		// the price of one atomic.
-		sources := samples
-		if batching.clustered(k) {
-			pos := graph.Order(g, graph.RelabelBFS, workers).Perm
-			ord := clusterOrder(samples, pos)
-			sources = make([]graph.NodeID, k)
-			for i, j := range ord {
-				sources[i] = samples[j]
-			}
-		}
 		// farBySlot[base+lane] is only ever written by the goroutine running
 		// that batch's sweep (slots of one batch never span batches), so the
 		// per-source sums need no atomics; only the shared acc cells do.
@@ -200,28 +194,6 @@ func randomSampling(ctx context.Context, g *graph.Graph, fraction float64, worke
 		}
 		for i, src := range sources {
 			exactFar[src] = farBySlot[i]
-		}
-	} else if mode.Frontier(k, workers, n) {
-		// Frontier-parallel engine: sources sequential, each BFS fans its
-		// levels out across the workers (see TraversalFrontier). The row
-		// accumulation matches the per-source path, so farness is
-		// bit-identical.
-		fs := bfs.NewFrontierScratch()
-		dist := make([]int32, n)
-		for _, src := range samples {
-			if err := bfs.FrontierDistancesCtx(ctx, g, src, dist, workers, fs); err != nil {
-				return partialOr(err)
-			}
-			if any != nil {
-				accumulateAny(src, dist)
-				continue
-			}
-			var own int64
-			for w, d := range dist {
-				own += int64(d)
-				acc[w] += int64(d)
-			}
-			exactFar[src] = own
 		}
 	} else {
 		accumulateRow := func(src graph.NodeID, dist []int32) {

@@ -71,7 +71,7 @@ func TestEstimateRelabelBitIdentical(t *testing.T) {
 		{"ICR", TechICR},
 		{"cumulative", TechCumulative},
 	}
-	travs := []TraversalMode{TraversalAuto, TraversalPerSource, TraversalBatched, TraversalHybrid}
+	travs := []TraversalMode{TraversalAuto, TraversalPerSource, TraversalBatched}
 	for _, fam := range relabelFamilies() {
 		g := graph.Connect(fam.gen(3000, 42))
 		for _, tech := range techs {
@@ -108,21 +108,32 @@ func TestEstimateRelabelBitIdentical(t *testing.T) {
 	}
 }
 
+// hybridFraction samples fewer than batchMinSources sources of the
+// 2000–3000-node test graphs, so Auto runs the direction-optimising
+// per-source kernel instead of batching.
+const hybridFraction = 0.0015
+
 // TestEstimateHybridMatchesPerSource pins the direction-optimising kernel's
-// half of the contract on its own: forcing TraversalHybrid changes no output
-// relative to the plain per-source engine (BFS levels are unique, so push
-// and pull produce the same distance rows).
+// half of the contract on its own: Auto below the batching threshold (the
+// hybrid kernel) changes no output relative to the plain per-source engine
+// (BFS levels are unique, so push and pull produce the same distance rows).
 func TestEstimateHybridMatchesPerSource(t *testing.T) {
 	for _, fam := range relabelFamilies() {
 		g := graph.Connect(fam.gen(3000, 9))
 		for _, tech := range []Technique{0, TechICR, TechCumulative} {
-			base, err := Estimate(g, Options{Techniques: tech, SampleFraction: 0.2, Seed: 3, Traversal: TraversalPerSource})
+			base, err := Estimate(g, Options{Techniques: tech, SampleFraction: hybridFraction, Seed: 3, Traversal: TraversalPerSource})
 			if err != nil {
 				t.Fatalf("%s/%v: %v", fam.name, tech, err)
 			}
-			got, err := Estimate(g, Options{Techniques: tech, SampleFraction: 0.2, Seed: 3, Traversal: TraversalHybrid})
+			got, err := Estimate(g, Options{Techniques: tech, SampleFraction: hybridFraction, Seed: 3})
 			if err != nil {
 				t.Fatalf("%s/%v hybrid: %v", fam.name, tech, err)
+			}
+			// The global estimators' one traversal unit must stay below the
+			// batching threshold; the cumulative one spreads its samples
+			// (cut vertices included) over many blocks.
+			if tech&TechBiCC == 0 && got.Stats.Samples >= batchMinSources {
+				t.Fatalf("%s/%v: %d samples would batch; the hybrid kernel is not under test", fam.name, tech, got.Stats.Samples)
 			}
 			assertSameResult(t, fmt.Sprintf("%s/%v hybrid-vs-per-source", fam.name, tech), base, got)
 		}
@@ -130,13 +141,16 @@ func TestEstimateHybridMatchesPerSource(t *testing.T) {
 }
 
 // TestRandomSamplingHybridMatches covers the unreduced baseline path: the
-// hybrid kernel behind TraversalHybrid/Auto per-source sampling produces the
-// same result as the FIFO kernel.
+// hybrid kernel behind Auto per-source sampling produces the same result as
+// the FIFO kernel.
 func TestRandomSamplingHybridMatches(t *testing.T) {
 	for _, fam := range relabelFamilies() {
 		g := graph.Connect(fam.gen(2000, 11))
-		base := RandomSamplingMode(g, 0.3, 2, 5, TraversalPerSource)
-		got := RandomSamplingMode(g, 0.3, 2, 5, TraversalHybrid)
+		base := RandomSamplingMode(g, hybridFraction, 2, 5, TraversalPerSource)
+		got := RandomSamplingMode(g, hybridFraction, 2, 5, TraversalAuto)
+		if got.Stats.Samples >= batchMinSources {
+			t.Fatalf("%s: %d samples would batch; the hybrid kernel is not under test", fam.name, got.Stats.Samples)
+		}
 		assertSameResult(t, fam.name+"/random-hybrid", base, got)
 	}
 }

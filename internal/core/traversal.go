@@ -17,24 +17,10 @@ const (
 	// source, parallel across sources (the original engine).
 	TraversalPerSource
 	// TraversalBatched groups sources into ≤64-wide bit-parallel batches
-	// that share edge scans (see internal/bfs MultiSource/MultiSourceW)
+	// that share edge scans (see bfs.RunBatchesCtx/RunBatchesWCtx)
 	// and fans the batches out across the worker pool. Farness output is
 	// bit-identical to TraversalPerSource for the same seed.
 	TraversalBatched
-	// TraversalHybrid forces the direction-optimising (push/pull) per-source
-	// BFS kernel for unweighted traversals, never batching. Weighted
-	// traversals keep Dial's algorithm — pull sweeps need the unit-weight
-	// guarantee. Farness output is bit-identical to the other modes: BFS
-	// levels are unique, so push and pull produce the same distances.
-	TraversalHybrid
-	// TraversalFrontier forces the frontier-parallel edge-map engine: the
-	// sampled sources run sequentially and every traversal splits its
-	// frontier levels (BFS) or bucket relaxations (Dial) across the worker
-	// pool — the transposed parallelization, right when there are fewer
-	// sources than workers. Farness output is bit-identical to the other
-	// modes at every worker count: BFS levels and shortest-path distances
-	// are unique, so whichever worker claims a node writes the same value.
-	TraversalFrontier
 )
 
 // batchMinSources is the Auto threshold: below 8 sources in a traversal
@@ -49,10 +35,6 @@ func (m TraversalMode) String() string {
 		return "per-source"
 	case TraversalBatched:
 		return "batched"
-	case TraversalHybrid:
-		return "hybrid"
-	case TraversalFrontier:
-		return "frontier"
 	default:
 		return "auto"
 	}
@@ -68,19 +50,15 @@ func ParseTraversalMode(s string) (TraversalMode, error) {
 		return TraversalPerSource, nil
 	case "batched", "batch", "msbfs":
 		return TraversalBatched, nil
-	case "hybrid", "direction-optimizing", "do":
-		return TraversalHybrid, nil
-	case "frontier", "edge-map", "edgemap":
-		return TraversalFrontier, nil
 	}
-	return 0, fmt.Errorf("core: unknown traversal mode %q (want auto, per-source, batched, hybrid or frontier)", s)
+	return 0, fmt.Errorf("core: unknown traversal mode %q (want auto, per-source or batched)", s)
 }
 
 // batched reports whether a traversal unit with k sampled sources should
 // use the batched engine under this mode.
 func (m TraversalMode) batched(k int) bool {
 	switch m {
-	case TraversalPerSource, TraversalHybrid, TraversalFrontier:
+	case TraversalPerSource:
 		return false
 	case TraversalBatched:
 		return k > 0
@@ -90,36 +68,10 @@ func (m TraversalMode) batched(k int) bool {
 }
 
 // hybrid reports whether per-source unweighted traversals should use the
-// direction-optimising kernel under this mode. True for Hybrid (forced) and
-// Auto (the hybrid kernel degrades to plain top-down levels on graphs where
-// pull never pays, so Auto loses nothing by defaulting to it).
+// direction-optimising kernel under this mode: true for Auto (the hybrid
+// kernel degrades to plain top-down levels on graphs where pull never pays,
+// so Auto loses nothing by defaulting to it), false for the plain top-down
+// PerSource engine.
 func (m TraversalMode) hybrid() bool {
-	return m == TraversalHybrid || m == TraversalAuto
-}
-
-// frontierMinNodes is the Auto floor for the frontier-parallel engine: below
-// it a traversal's levels are too small for the per-level fan-out to pay and
-// the per-source kernels win outright.
-const frontierMinNodes = 1 << 12
-
-// Frontier reports whether a traversal unit of n nodes carrying k sampled
-// sources should run each source on the frontier-parallel engine at the
-// given worker count. Forced under TraversalFrontier. Under Auto it fires
-// only when source-level parallelism cannot fill the machine — fewer than
-// half the workers would have a source to run (sequential sources each
-// fanning out over all workers then finish sooner than starved per-source
-// rounds) — and the unit is large enough to amortise the per-level fan-out.
-// Exact/all-sources work and topk verification call this with k = 1.
-// Exported so that topk (and external drivers) apply the same policy as the
-// estimators; callers check batched() first — sampled batches keep the
-// batched engine.
-func (m TraversalMode) Frontier(k, workers, n int) bool {
-	switch m {
-	case TraversalFrontier:
-		return true
-	case TraversalAuto:
-		return workers > 1 && k > 0 && 2*k <= workers && n >= frontierMinNodes
-	default:
-		return false
-	}
+	return m == TraversalAuto
 }

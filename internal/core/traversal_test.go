@@ -1,63 +1,51 @@
 package core
 
 import (
+	"fmt"
 	"testing"
-
-	"repro/internal/gen"
-	"repro/internal/graph"
 )
 
-var traversalFamilies = []struct {
-	name  string
-	build func(n int, seed int64) *graph.Graph
-}{
-	{"web", gen.Web},
-	{"social", gen.Social},
-	{"community", gen.Community},
-	{"road", gen.Road},
+// assertEnginesIdentical runs the engine-identity table — every traversal
+// mode at workers {1,2,4} — and compares each cell against the per-source,
+// one-worker run bit for bit: all engines are integer accumulations over the
+// same sampled rows, so any divergence is a kernel bug, not estimator noise.
+func assertEnginesIdentical(t *testing.T, run func(mode TraversalMode, workers int) *Result) {
+	t.Helper()
+	base := run(TraversalPerSource, 1)
+	for _, mode := range []TraversalMode{TraversalAuto, TraversalPerSource, TraversalBatched} {
+		for _, w := range []int{1, 2, 4} {
+			assertSameResult(t, fmt.Sprintf("%v workers=%d", mode, w), base, run(mode, w))
+		}
+	}
 }
 
-// TestRandomSamplingTraversalModesIdentical: the batched engine must
-// reproduce the per-source engine's farness output bit-for-bit — both are
-// integer accumulations over the same sampled rows, so any divergence is a
-// kernel bug, not estimator noise.
+// TestRandomSamplingTraversalModesIdentical runs the engine table through the
+// unreduced random-sampling baseline on all four families.
 func TestRandomSamplingTraversalModesIdentical(t *testing.T) {
-	for _, fam := range traversalFamilies {
+	for _, fam := range relabelFamilies() {
 		t.Run(fam.name, func(t *testing.T) {
-			g := fam.build(1500, 42)
-			per := RandomSamplingMode(g, 0.2, 4, 7, TraversalPerSource)
-			for _, mode := range []TraversalMode{TraversalBatched, TraversalFrontier} {
-				got := RandomSamplingMode(g, 0.2, 4, 7, mode)
-				if per.Stats.Samples != got.Stats.Samples {
-					t.Fatalf("%v: sample counts differ: %d vs %d", mode, per.Stats.Samples, got.Stats.Samples)
-				}
-				for v := range per.Farness {
-					if per.Farness[v] != got.Farness[v] {
-						t.Fatalf("%v node %d: per-source %v, got %v", mode, v, per.Farness[v], got.Farness[v])
-					}
-					if per.Exact[v] != got.Exact[v] {
-						t.Fatalf("%v node %d: exactness flags differ", mode, v)
-					}
-				}
-			}
+			g := fam.gen(1500, 42)
+			assertEnginesIdentical(t, func(mode TraversalMode, workers int) *Result {
+				return RandomSamplingMode(g, 0.2, workers, 7, mode)
+			})
 		})
 	}
 }
 
-// TestEstimateTraversalModesIdentical checks the same invariant through the
-// full estimator stack: global (C+R, I+C+R) and cumulative (BiCC) paths,
-// where batching happens on the reduced graph and inside blocks.
+// TestEstimateTraversalModesIdentical runs the engine table through the full
+// estimator stack: global (C+R, I+C+R) and cumulative (BiCC) paths, where
+// batching happens on the reduced graph and inside blocks.
 func TestEstimateTraversalModesIdentical(t *testing.T) {
 	techs := []Technique{TechCR, TechICR, TechCumulative}
-	for _, fam := range traversalFamilies {
+	for _, fam := range relabelFamilies() {
 		for _, tech := range techs {
 			t.Run(fam.name+"/"+tech.String(), func(t *testing.T) {
-				g := fam.build(1200, 5)
-				run := func(mode TraversalMode) *Result {
+				g := fam.gen(1200, 5)
+				assertEnginesIdentical(t, func(mode TraversalMode, workers int) *Result {
 					res, err := Estimate(g, Options{
 						Techniques:     tech,
 						SampleFraction: 0.2,
-						Workers:        4,
+						Workers:        workers,
 						Seed:           3,
 						Traversal:      mode,
 					})
@@ -65,22 +53,7 @@ func TestEstimateTraversalModesIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					return res
-				}
-				per := run(TraversalPerSource)
-				for _, mode := range []TraversalMode{TraversalBatched, TraversalFrontier} {
-					got := run(mode)
-					if per.Stats.Samples != got.Stats.Samples {
-						t.Fatalf("%v: sample counts differ: %d vs %d", mode, per.Stats.Samples, got.Stats.Samples)
-					}
-					for v := range per.Farness {
-						if per.Farness[v] != got.Farness[v] {
-							t.Fatalf("%v node %d: per-source %v, got %v", mode, v, per.Farness[v], got.Farness[v])
-						}
-						if per.Exact[v] != got.Exact[v] {
-							t.Fatalf("%v node %d: exactness flags differ", mode, v)
-						}
-					}
-				}
+				})
 			})
 		}
 	}
@@ -105,36 +78,6 @@ func TestTraversalAutoPolicy(t *testing.T) {
 	for _, c := range cases {
 		if got := c.mode.batched(c.k); got != c.want {
 			t.Errorf("%v.batched(%d) = %v, want %v", c.mode, c.k, got, c.want)
-		}
-	}
-}
-
-// TestTraversalFrontierPolicy pins when the frontier engine is selected: a
-// forced mode always, Auto only when the unit's source count cannot fill the
-// worker pool (2k ≤ workers) on a graph big enough to amortise the fan-out.
-func TestTraversalFrontierPolicy(t *testing.T) {
-	big := frontierMinNodes
-	cases := []struct {
-		mode       TraversalMode
-		k, workers int
-		n          int
-		want       bool
-	}{
-		{TraversalFrontier, 1, 1, 10, true}, // forced: always
-		{TraversalFrontier, 100, 8, 10, true},
-		{TraversalAuto, 1, 8, big, true},  // one source, many workers
-		{TraversalAuto, 4, 8, big, true},  // 2k == workers: boundary in
-		{TraversalAuto, 5, 8, big, false}, // sources can fill the pool
-		{TraversalAuto, 1, 1, big, false}, // no parallelism to exploit
-		{TraversalAuto, 0, 8, big, false},
-		{TraversalAuto, 1, 8, big - 1, false}, // too small to amortise
-		{TraversalPerSource, 1, 8, big, false},
-		{TraversalBatched, 1, 8, big, false},
-		{TraversalHybrid, 1, 8, big, false},
-	}
-	for _, c := range cases {
-		if got := c.mode.Frontier(c.k, c.workers, c.n); got != c.want {
-			t.Errorf("%v.Frontier(%d, %d, %d) = %v, want %v", c.mode, c.k, c.workers, c.n, got, c.want)
 		}
 	}
 }

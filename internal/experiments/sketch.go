@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -100,11 +101,15 @@ func SketchBench(cfg Config) ([]SketchRow, error) {
 			pairs[i] = [2]graph.NodeID{graph.NodeID(rng.Intn(n)), graph.NodeID(rng.Intn(n))}
 		}
 
+		exact := func(u, v graph.NodeID) int32 {
+			d, _ := bfs.PointToPointCtx(context.Background(), g, u, v)
+			return d
+		}
 		// Correctness gate before any timing: proven bounds must bracket the
 		// exact distance on every benchmark pair.
 		tight, gapSum, errSum := 0, 0.0, 0.0
 		for _, p := range pairs {
-			d := bfs.PointToPoint(g, p[0], p[1])
+			d := exact(p[0], p[1])
 			lo, hi, ok := sk.Bounds(p[0], p[1])
 			if !ok {
 				return nil, fmt.Errorf("%s: sketch cannot bound pair (%d,%d) on a connected graph",
@@ -125,14 +130,14 @@ func SketchBench(cfg Config) ([]SketchRow, error) {
 		row.MeanErr = errSum / numPairs
 
 		row.ExactQPS = sketchQPS(pairs, func(u, v graph.NodeID) {
-			bfs.PointToPoint(g, u, v)
+			exact(u, v)
 		})
 		row.SketchQPS = sketchQPS(pairs, func(u, v graph.NodeID) {
 			sk.Bounds(u, v)
 		})
 		row.AutoQPS = sketchQPS(pairs, func(u, v graph.NodeID) {
 			if lo, hi, ok := sk.Bounds(u, v); !ok || lo != hi {
-				bfs.PointToPoint(g, u, v)
+				exact(u, v)
 			}
 		})
 		if row.ExactQPS > 0 {

@@ -32,12 +32,14 @@ type TraversalRow struct {
 
 // traversalOrderings and traversalEngines span the matrix axes.
 var traversalOrderings = []graph.RelabelMode{graph.RelabelNone, graph.RelabelDegree, graph.RelabelBFS}
-var traversalEngines = []core.TraversalMode{core.TraversalAuto, core.TraversalPerSource, core.TraversalBatched, core.TraversalHybrid}
+var traversalEngines = []core.TraversalMode{core.TraversalAuto, core.TraversalPerSource, core.TraversalBatched}
 
 // TraversalBench measures the full ordering×engine matrix on one dataset per
 // graph class. Each cell is the best of two runs (the first run pays
 // allocator warm-up); the speedup column compares against the (none, auto)
 // cell of the same dataset, i.e. what the estimator does with no knobs set.
+// Every run's farness must equal that cell's bit for bit; a mismatch is
+// returned as an error.
 func TraversalBench(cfg Config, fraction float64) ([]TraversalRow, error) {
 	if fraction <= 0 {
 		fraction = 0.2
@@ -51,6 +53,7 @@ func TraversalBench(cfg Config, fraction float64) ([]TraversalRow, error) {
 		seen[ds.Class] = true
 		g := ds.Build()
 		var baseline time.Duration
+		var want []float64 // farness of the (none, auto) cell
 		for _, ord := range traversalOrderings {
 			for _, eng := range traversalEngines {
 				row := TraversalRow{
@@ -73,6 +76,15 @@ func TraversalBench(cfg Config, fraction float64) ([]TraversalRow, error) {
 					total := time.Since(start)
 					if err != nil {
 						return nil, fmt.Errorf("%s %s/%s: %v", ds.Name, ord, eng, err)
+					}
+					if want == nil {
+						want = res.Farness
+					}
+					for v, f := range res.Farness {
+						if f != want[v] {
+							return nil, fmt.Errorf("%s %s/%s: farness[%d] = %v, relabel=none/traversal=auto gives %v",
+								ds.Name, ord, eng, v, f, want[v])
+						}
 					}
 					if rep == 0 || total < row.Total {
 						row.Total = total
@@ -97,7 +109,7 @@ func TraversalBench(cfg Config, fraction float64) ([]TraversalRow, error) {
 // dataset.
 func FprintTraversal(w io.Writer, fraction float64, rows []TraversalRow) {
 	fmt.Fprintf(w, "Traversal locality matrix: relabel ordering x engine, cumulative estimate at %.0f%% sampling\n", fraction*100)
-	fmt.Fprintf(w, "(identical farness in every cell; speedup is vs the same dataset's relabel=none/traversal=auto run)\n")
+	fmt.Fprintf(w, "(farness checked identical in every cell; speedup is vs the same dataset's relabel=none/traversal=auto run)\n")
 	fmt.Fprintf(w, "%-28s %-10s %-8s %-11s %10s %10s %8s\n",
 		"Graph", "Class", "relabel", "engine", "traverse", "total", "speedup")
 	prev := ""

@@ -1,6 +1,7 @@
 package reduce
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -93,7 +94,7 @@ func TestReductionPreservesAndExtends(t *testing.T) {
 			g = graph.Connect(g)
 		}
 		n := g.NumNodes()
-		apFull := bfs.AllPairs(g)
+		apFull := allPairs(g)
 		for _, opts := range allOptions() {
 			red, err := Run(g, opts)
 			if err != nil {
@@ -114,7 +115,7 @@ func TestReductionPreservesAndExtends(t *testing.T) {
 			distR := make([]int32, red.G.NumNodes())
 			distOrig := make([]int32, n)
 			for srcR := 0; srcR < red.G.NumNodes(); srcR++ {
-				bfs.WDistances(red.G, int32(srcR), distR, nil)
+				_ = bfs.WDistancesCtx(context.Background(), red.G, int32(srcR), distR, nil)
 				srcOrig := red.ToOld[srcR]
 				// Kept-kept distances preserved.
 				for wR := 0; wR < red.G.NumNodes(); wR++ {
@@ -257,4 +258,14 @@ func TestEventsAnchorsAndRemoved(t *testing.T) {
 	if len(seen) != red.NumRemoved() {
 		t.Fatalf("events removed %d nodes, expected %d", len(seen), red.NumRemoved())
 	}
+}
+
+// allPairs is the full BFS distance matrix of a small graph; memory is Θ(n²).
+func allPairs(g *graph.Graph) [][]int32 {
+	out := make([][]int32, g.NumNodes())
+	for v := range out {
+		out[v] = make([]int32, g.NumNodes())
+		bfs.Distances(g, graph.NodeID(v), out[v], nil)
+	}
+	return out
 }

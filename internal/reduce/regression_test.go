@@ -1,6 +1,7 @@
 package reduce
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestRegressionSeeds(t *testing.T) {
 			g = graph.Connect(g)
 		}
 		n := g.NumNodes()
-		apFull := bfs.AllPairs(g)
+		apFull := allPairs(g)
 		for oi, opts := range allOptions() {
 			red, err := Run(g, opts)
 			if err != nil {
@@ -27,7 +28,7 @@ func TestRegressionSeeds(t *testing.T) {
 			distR := make([]int32, red.G.NumNodes())
 			distOrig := make([]int32, n)
 			for srcR := 0; srcR < red.G.NumNodes(); srcR++ {
-				bfs.WDistances(red.G, int32(srcR), distR, nil)
+				_ = bfs.WDistancesCtx(context.Background(), red.G, int32(srcR), distR, nil)
 				srcOrig := red.ToOld[srcR]
 				for wR := 0; wR < red.G.NumNodes(); wR++ {
 					if distR[wR] != apFull[srcOrig][red.ToOld[wR]] {

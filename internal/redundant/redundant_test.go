@@ -1,6 +1,7 @@
 package redundant
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -146,8 +147,8 @@ func TestRemovalPreservesDistances(t *testing.T) {
 			keep[i] = !r.Marked[i]
 		}
 		sub, toOld, toNew := graph.WSubgraph(g, keep)
-		apFull := bfs.AllPairsW(g)
-		apSub := bfs.AllPairsW(sub)
+		apFull := allPairsW(g)
+		apSub := allPairsW(sub)
 		for u := 0; u < sub.NumNodes(); u++ {
 			for v := 0; v < sub.NumNodes(); v++ {
 				if apSub[u][v] != apFull[toOld[u]][toOld[v]] {
@@ -179,4 +180,15 @@ func TestRemovalPreservesDistances(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// allPairsW is the full Dial distance matrix of a small weighted graph;
+// memory is Θ(n²).
+func allPairsW(g *graph.WGraph) [][]int32 {
+	out := make([][]int32, g.NumNodes())
+	for v := range out {
+		out[v] = make([]int32, g.NumNodes())
+		_ = bfs.WDistancesCtx(context.Background(), g, graph.NodeID(v), out[v], nil)
+	}
+	return out
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +13,22 @@ import (
 
 	"repro/internal/fault"
 )
+
+// perSourceFraction samples 7 sources of newRobustServer's RIC-reduced
+// graph (270 nodes): fewer than the 8 a traversal unit needs before the Auto
+// engine batches, so the run traverses its sources one at a time and its
+// progress, snapshots and cancellation advance source by source.
+const perSourceFraction = 0.025
+
+// perSourceBody is the /v1/estimate body of a RIC run at perSourceFraction.
+func perSourceBody(seed int) string {
+	return fmt.Sprintf(`{"seed":%d,"techniques":"RIC","fraction":%g}`, seed, perSourceFraction)
+}
+
+// perSourceQuery is perSourceBody as /v1/farness query parameters.
+func perSourceQuery(seed int) string {
+	return fmt.Sprintf("seed=%d&techniques=RIC&fraction=%g", seed, perSourceFraction)
+}
 
 // slowFlight intercepts the next estimation flight at its entry checkpoint,
 // installs a per-source delay on its progress tracker (throttling the run so
@@ -64,8 +81,8 @@ func decodeEstimate(t *testing.T, w *httptest.ResponseRecorder) estimateBody {
 // 200, partial, with proven mean bounds around the estimate.
 func TestDegradeAcceptSoftDeadlineSnapshot(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1, SoftMargin: 100 * time.Millisecond})
-	slowFlight(t, s, 10*time.Millisecond)
-	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=400ms&degrade=accept", `{"seed":500,"techniques":"RIC","traversal":"per-source"}`)
+	slowFlight(t, s, 80*time.Millisecond)
+	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=400ms&degrade=accept", perSourceBody(500))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200; body %s", w.Code, w.Body)
 	}
@@ -90,8 +107,8 @@ func TestDegradeAcceptSoftDeadlineSnapshot(t *testing.T) {
 // the grace wait — still 200, still flagged.
 func TestDegradeAcceptHardDeadlinePartial(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1}) // default SoftMargin 500ms > timeout
-	slowFlight(t, s, 10*time.Millisecond)
-	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=200ms&degrade=accept", `{"seed":510,"techniques":"RIC","traversal":"per-source"}`)
+	slowFlight(t, s, 80*time.Millisecond)
+	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=200ms&degrade=accept", perSourceBody(510))
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200; body %s", w.Code, w.Body)
 	}
@@ -105,8 +122,8 @@ func TestDegradeAcceptHardDeadlinePartial(t *testing.T) {
 // must run fresh and produce the exact (non-partial) result.
 func TestPartialNeverCached(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1})
-	slowFlight(t, s, 5*time.Millisecond)
-	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=250ms&degrade=accept", `{"seed":520,"techniques":"RIC","traversal":"per-source"}`)
+	slowFlight(t, s, 40*time.Millisecond)
+	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=250ms&degrade=accept", perSourceBody(520))
 	if w.Code != http.StatusOK || !decodeEstimate(t, w).Partial {
 		t.Fatalf("setup: expected partial 200, got %d %s", w.Code, w.Body)
 	}
@@ -118,7 +135,7 @@ func TestPartialNeverCached(t *testing.T) {
 		t.Fatalf("partial result entered the estimate cache (%d entries)", cached)
 	}
 	// Same key, generous deadline: a fresh, full run.
-	w = doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=accept", `{"seed":520,"techniques":"RIC","traversal":"per-source"}`)
+	w = doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=accept", perSourceBody(520))
 	if w.Code != http.StatusOK {
 		t.Fatalf("full rerun: %d %s", w.Code, w.Body)
 	}
@@ -137,8 +154,8 @@ func TestPartialNeverCached(t *testing.T) {
 // rather than serving a partial.
 func TestDegradeRejectStaysExactOrError(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1})
-	slowFlight(t, s, 5*time.Millisecond)
-	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=200ms&degrade=reject", `{"seed":530,"techniques":"RIC","traversal":"per-source"}`)
+	slowFlight(t, s, 40*time.Millisecond)
+	w := doJSON(s, http.MethodPost, "/v1/estimate?timeout=200ms&degrade=reject", perSourceBody(530))
 	if w.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504; body %s", w.Code, w.Body)
 	}
@@ -152,10 +169,10 @@ func TestDegradeRejectStaysExactOrError(t *testing.T) {
 // gets 503 + Retry-After, never the partial payload.
 func TestDegradeRejectPartialFlightIs503(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1})
-	slowFlight(t, s, 5*time.Millisecond)
+	slowFlight(t, s, 40*time.Millisecond)
 	respCh := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		respCh <- doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=reject", `{"seed":540,"techniques":"RIC","traversal":"per-source"}`)
+		respCh <- doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=reject", perSourceBody(540))
 	}()
 	// Let the throttled run bank some sources, then drain the server.
 	time.Sleep(150 * time.Millisecond)
@@ -173,10 +190,10 @@ func TestDegradeRejectPartialFlightIs503(t *testing.T) {
 // waiter keeps the partial the interrupted run assembled.
 func TestDegradeAcceptDrainServesPartial(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1})
-	slowFlight(t, s, 5*time.Millisecond)
+	slowFlight(t, s, 40*time.Millisecond)
 	respCh := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		respCh <- doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=accept", `{"seed":550,"techniques":"RIC","traversal":"per-source"}`)
+		respCh <- doJSON(s, http.MethodPost, "/v1/estimate?timeout=30s&degrade=accept", perSourceBody(550))
 	}()
 	time.Sleep(150 * time.Millisecond)
 	s.Close()
@@ -193,8 +210,8 @@ func TestDegradeAcceptDrainServesPartial(t *testing.T) {
 // proven bounds on a degraded answer.
 func TestFarnessPartialBounds(t *testing.T) {
 	s := newRobustServer(t, Config{Workers: 1, SoftMargin: 100 * time.Millisecond})
-	slowFlight(t, s, 10*time.Millisecond)
-	w := doJSON(s, http.MethodGet, "/v1/farness/3?timeout=400ms&degrade=accept&seed=560&techniques=RIC&traversal=per-source", "")
+	slowFlight(t, s, 80*time.Millisecond)
+	w := doJSON(s, http.MethodGet, "/v1/farness/3?timeout=400ms&degrade=accept&"+perSourceQuery(560), "")
 	if w.Code != http.StatusOK {
 		t.Fatalf("status = %d, want 200; body %s", w.Code, w.Body)
 	}
@@ -246,7 +263,7 @@ func TestStatusEndpoint(t *testing.T) {
 	}
 
 	// Hold a throttled run mid-flight and observe it.
-	slowFlight(t, s, 5*time.Millisecond)
+	slowFlight(t, s, 40*time.Millisecond)
 	respCh := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
 		respCh <- doJSON(s, http.MethodPost, "/v1/estimate?timeout=10s", `{"seed":570}`)

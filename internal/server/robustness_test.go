@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/bfs"
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/gen"
@@ -295,20 +294,45 @@ func TestKeyNormalization(t *testing.T) {
 	if k1 == k3 {
 		t.Fatalf("distinct techniques share key %q", k1)
 	}
-	// Batching is a perf-only knob but must still split the cache, so a
-	// client sweeping modes re-runs instead of replaying one timing.
-	k4, opts, err := s.resolve(estimateParams{Techniques: "bric", Fraction: 0.2, Seed: 1, Batching: "clustered"})
+	// The key is exactly techniques/fraction/seed, and the engine knobs stay
+	// at their defaults.
+	_, opts, err := s.resolve(estimateParams{Techniques: "bric", Fraction: 0.2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k1 == k4 {
-		t.Fatalf("batching mode does not affect key %q", k1)
+	if strings.Count(k1, "/") != 2 {
+		t.Fatalf("key %q is not techniques/fraction/seed", k1)
 	}
-	if opts.Batching != core.BatchingClustered {
-		t.Fatalf("opts.Batching = %v, want clustered", opts.Batching)
+	if opts.Traversal != core.TraversalAuto || opts.Batching != core.BatchingAuto || opts.Relabel != graph.RelabelNone {
+		t.Fatalf("non-default engine knobs: %v %v %v", opts.Traversal, opts.Batching, opts.Relabel)
 	}
-	if _, _, err := s.resolve(estimateParams{Techniques: "bric", Fraction: 0.2, Seed: 1, Batching: "bogus"}); err == nil {
-		t.Fatal("bad batching mode accepted")
+}
+
+// TestBodyUnknownField400: a body naming a field the endpoint does not take
+// — such as the removed "traversal" knob — is a 400 that names the field,
+// not a silently ignored option.
+func TestBodyUnknownField400(t *testing.T) {
+	s := newRobustServer(t, Config{Workers: 2})
+	for _, c := range []struct{ target, body, field string }{
+		{"/v1/estimate", `{"seed":3,"traversal":"per-source"}`, "traversal"},
+		{"/v1/edges", `{"u":1,"v":2,"weight":3}`, "weight"},
+	} {
+		w := doJSON(s, http.MethodPost, c.target, c.body)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), c.field) {
+			t.Errorf("POST %s %s: status %d body %s, want 400 naming %q", c.target, c.body, w.Code, w.Body, c.field)
+		}
+	}
+}
+
+// TestBodyTooLarge413: an oversized JSON body is cut off at maxBodyBytes and
+// answered 413, on both endpoints that take one.
+func TestBodyTooLarge413(t *testing.T) {
+	s := newRobustServer(t, Config{Workers: 2})
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for _, target := range []string{"/v1/estimate", "/v1/edges"} {
+		if w := doJSON(s, http.MethodPost, target, pad+`{}`); w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte body: status %d, want 413", target, len(pad)+2, w.Code)
+		}
 	}
 }
 
@@ -360,7 +384,7 @@ func TestMutationInstallsFreshGeneration(t *testing.T) {
 	g := s.gen.Load().g
 	v := -1
 	for cand := 1; cand < g.NumNodes(); cand++ {
-		if bfs.PointToPoint(g, 0, graph.NodeID(cand)) > 1 {
+		if !g.HasEdge(0, graph.NodeID(cand)) {
 			v = cand
 			break
 		}

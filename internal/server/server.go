@@ -8,8 +8,7 @@
 //	GET    /healthz                           liveness (never blocks)
 //	GET    /readyz                            readiness (503 while draining)
 //	GET    /v1/graph                          node/edge counts
-//	POST   /v1/estimate                       {"techniques":"BRIC","fraction":0.2,"seed":1,
-//	                                           "traversal":"auto","relabel":"none"}
+//	POST   /v1/estimate                       {"techniques":"BRIC","fraction":0.2,"seed":1}
 //	GET    /v1/farness/{node}?...             one node's estimate (same query params)
 //	GET    /v1/topk?k=10&sketch=1&...         verified top-k (exact values)
 //	GET    /v1/distance?from=1&to=2&mode=auto point-to-point distance
@@ -393,27 +392,21 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, graphBody{Nodes: g.NumNodes(), Edges: g.NumEdges()})
 }
 
-// estimateParams are shared by /v1/estimate, /v1/farness and /v1/topk.
-// Traversal ("auto", "per-source", "batched", "hybrid", "frontier"),
-// Batching ("auto",
-// "arbitrary", "clustered") and Relabel ("none", "degree", "bfs") are
-// perf-only knobs: they participate in the cache key — so a client sweeping
-// engines actually re-runs — but never change farness values.
+// estimateParams are shared by /v1/estimate, /v1/farness and /v1/topk. They
+// are exactly the inputs that can change an answer; the server always runs
+// the default traversal engine, batching and relabelling (pure wall-clock
+// knobs that never change farness), so one cache entry serves every client.
 type estimateParams struct {
 	Techniques string  `json:"techniques"`
 	Fraction   float64 `json:"fraction"`
 	Seed       int64   `json:"seed"`
-	Traversal  string  `json:"traversal"`
-	Batching   string  `json:"batching"`
-	Relabel    string  `json:"relabel"`
 }
 
 // resolve validates the params and returns the canonical cache key plus the
 // fully-populated estimation options. The key is derived from the parsed
-// values, not the raw strings, so "bric", "BRIC" and "CIRB" (and traversal
-// aliases like "do" for "hybrid") all dedup onto one cache entry; the
-// server's worker bound is plumbed into the options so estimation
-// parallelism follows the -workers flag.
+// values, not the raw strings, so "bric", "BRIC" and "CIRB" all dedup onto
+// one cache entry; the server's worker bound is plumbed into the options so
+// estimation parallelism follows the -workers flag.
 func (s *Server) resolve(p estimateParams) (string, core.Options, error) {
 	tech, err := ParseTechniques(p.Techniques)
 	if err != nil {
@@ -422,27 +415,12 @@ func (s *Server) resolve(p estimateParams) (string, core.Options, error) {
 	if p.Fraction <= 0 || p.Fraction > 1 {
 		return "", core.Options{}, fmt.Errorf("fraction %g out of range (0,1]", p.Fraction)
 	}
-	trav, err := core.ParseTraversalMode(p.Traversal)
-	if err != nil {
-		return "", core.Options{}, err
-	}
-	batching, err := core.ParseBatchingMode(p.Batching)
-	if err != nil {
-		return "", core.Options{}, err
-	}
-	relab, err := graph.ParseRelabelMode(p.Relabel)
-	if err != nil {
-		return "", core.Options{}, err
-	}
-	key := fmt.Sprintf("%s/%g/%d/%s/%s/%s", tech, p.Fraction, p.Seed, trav, batching, relab)
+	key := fmt.Sprintf("%s/%g/%d", tech, p.Fraction, p.Seed)
 	return key, core.Options{
 		Techniques:     tech,
 		SampleFraction: p.Fraction,
 		Seed:           p.Seed,
 		Workers:        s.cfg.Workers,
-		Traversal:      trav,
-		Batching:       batching,
-		Relabel:        relab,
 	}, nil
 }
 
@@ -465,16 +443,30 @@ func paramsFromQuery(q map[string][]string) (estimateParams, error) {
 		}
 		p.Seed = sd
 	}
-	if v, ok := q["traversal"]; ok && len(v) > 0 {
-		p.Traversal = v[0]
-	}
-	if v, ok := q["batching"]; ok && len(v) > 0 {
-		p.Batching = v[0]
-	}
-	if v, ok := q["relabel"]; ok && len(v) > 0 {
-		p.Relabel = v[0]
-	}
 	return p, nil
+}
+
+// maxBodyBytes caps every JSON request body. The largest legitimate body, an
+// estimate request, is well under 200 bytes.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes r's JSON body into v, answering 413 when it exceeds
+// maxBodyBytes and 400 when it is malformed or names a field v does not
+// have — a stale client sending a removed knob learns so instead of being
+// silently ignored. Reports whether decoding succeeded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeErr(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", tooBig.Limit)
+		} else {
+			writeErr(w, http.StatusBadRequest, "bad body: %v", err)
+		}
+		return false
+	}
+	return true
 }
 
 type estimateBody struct {
@@ -540,8 +532,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p := estimateParams{Techniques: "BRIC", Fraction: 0.2, Seed: 1}
-	if err := json.NewDecoder(r.Body).Decode(&p); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
+	if !decodeBody(w, r, &p) {
 		return
 	}
 	key, opts, err := s.resolve(p)
@@ -790,8 +781,7 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var e edgeBody
-		if err := json.NewDecoder(r.Body).Decode(&e); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad body: %v", err)
+		if !decodeBody(w, r, &e) {
 			return
 		}
 		affected, edges, err := s.mutate(func() error { return s.ix.AddEdge(e.U, e.V) })

@@ -225,29 +225,6 @@ func TestDistanceEndpoint(t *testing.T) {
 	}
 }
 
-// TestFrontierTraversalParam: traversal=frontier is accepted on the GET
-// endpoints, produces the same farness as the per-source engine (the engines
-// are bit-identical by contract), and lands in its own cache entry.
-func TestFrontierTraversalParam(t *testing.T) {
-	_, ts := newTestServer(t)
-	var per, fr farnessBody
-	resp := getJSON(t, ts.URL+"/v1/farness/0?fraction=0.3&traversal=per-source", &per)
-	if resp.StatusCode != 200 {
-		t.Fatalf("per-source: %d", resp.StatusCode)
-	}
-	resp = getJSON(t, ts.URL+"/v1/farness/0?fraction=0.3&traversal=frontier", &fr)
-	if resp.StatusCode != 200 {
-		t.Fatalf("frontier: %d", resp.StatusCode)
-	}
-	if fr.Farness != per.Farness {
-		t.Fatalf("engines disagree: frontier %v, per-source %v", fr.Farness, per.Farness)
-	}
-	resp = getJSON(t, ts.URL+"/v1/farness/0?traversal=bogus", nil)
-	if resp.StatusCode != 400 {
-		t.Fatalf("bad traversal: %d", resp.StatusCode)
-	}
-}
-
 // TestDistanceTimeout: /v1/distance shares the estimation endpoints' context
 // plumbing — a malformed ?timeout= is a 400, an expired one a 504.
 func TestDistanceTimeout(t *testing.T) {

@@ -133,22 +133,10 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 	// per-lane sums are bit-identical to bfs.Sum over a per-source row, so
 	// results match the per-source path exactly.
 	workers := par.Workers(opts.Estimate.Workers)
-	// Verification traversals follow the estimate's traversal policy: the
-	// frontier-parallel engine when the mode (forced or Auto, always with
-	// k = 1 — one verification BFS at a time) selects it, the sequential
-	// kernel otherwise. Forced per-source/hybrid/frontier modes also opt out
-	// of the speculative batch prefetch below.
-	useFrontier := opts.Estimate.Traversal.Frontier(1, workers, n)
-	var q *queue.FIFO
-	var frontierScratch *bfs.FrontierScratch
-	if useFrontier {
-		frontierScratch = bfs.NewFrontierScratch()
-	} else {
-		q = queue.NewFIFO(n)
-	}
-	batchVerify := opts.Estimate.Traversal != core.TraversalPerSource &&
-		opts.Estimate.Traversal != core.TraversalHybrid &&
-		opts.Estimate.Traversal != core.TraversalFrontier
+	// A forced per-source mode opts out of the speculative batch prefetch;
+	// lone candidates always take the sequential kernel.
+	q := queue.NewFIFO(n)
+	batchVerify := opts.Estimate.Traversal != core.TraversalPerSource
 	exactCache := make([]float64, n)
 	haveExact := make([]bool, n)
 	// Sketch filter: proven farness lower bounds let the loop below discard
@@ -227,13 +215,7 @@ func ClosenessContext(ctx context.Context, g *graph.Graph, k int, opts Options) 
 		if err := fault.Checkpoint(ctx, "topk.verify"); err != nil {
 			return 0, err
 		}
-		var err error
-		if useFrontier {
-			err = bfs.FrontierDistancesCtx(ctx, g, v, dist, workers, frontierScratch)
-		} else {
-			err = bfs.DistancesCtx(ctx, g, v, dist, q)
-		}
-		if err != nil {
+		if err := bfs.DistancesCtx(ctx, g, v, dist, q); err != nil {
 			return 0, err
 		}
 		sum, _ := bfs.Sum(dist)
