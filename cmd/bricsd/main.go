@@ -1,6 +1,7 @@
 // Command bricsd serves farness/closeness centrality over HTTP: estimates
 // (cached per option set, deduplicated across identical concurrent
-// requests), verified top-k queries, and exact dynamic edge updates. See
+// requests), verified top-k queries, and edge updates (each rebuilds the CSR
+// as a fresh generation). See
 // internal/server for the endpoint reference and robustness model.
 //
 // Single-graph mode serves one graph on the classic routes:

@@ -367,6 +367,113 @@ func TestChaosGenerationConsistency(t *testing.T) {
 	wg.Wait()
 }
 
+// TestChaosMutationBurst races two writers, each running insert-then-delete
+// pairs on its own non-edges, against exact-distance and farness readers and
+// a status poller on a live server. Every mutation must succeed (the graph is
+// the original plus a subset of the writers' edges, so it stays connected),
+// every read must be a legal answer, observed generations never decrease and
+// advance exactly once per mutation, and once the burst is over the CSR is
+// word-identical to the one the server started with.
+func TestChaosMutationBurst(t *testing.T) {
+	s := newRobustServer(t, Config{Workers: 2})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	client := &http.Client{Timeout: 10 * time.Second}
+
+	const writers, pairs = 2, 100
+	start := s.gen.Load()
+	add := nonEdges(start.g, writers)
+	if len(add) < writers {
+		t.Fatalf("found %d disjoint non-edges, want %d", len(add), writers)
+	}
+
+	var mu sync.Mutex
+	var failures []string
+	report := func(format string, args ...any) {
+		mu.Lock()
+		failures = append(failures, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	n := start.g.NumNodes()
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				url := fmt.Sprintf("%s/v1/distance?mode=exact&from=%d&to=%d", ts.URL, (r*97+i*13)%n, (i*31+5)%n)
+				legal := map[int]bool{200: true}
+				if i%2 == 1 {
+					url = fmt.Sprintf("%s/v1/farness/%d?techniques=C&fraction=0.05&seed=%d", ts.URL, (i*17)%n, r)
+					legal = map[int]bool{200: true, 429: true}
+				}
+				if code, b := httpDo(t, client, http.MethodGet, url, ""); !legal[code] {
+					report("reader %d: %s: illegal status %d (body %s)", r, url, code, b)
+				}
+			}
+		}(r)
+	}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var sb statusBody
+			code, b := httpDo(t, client, http.MethodGet, ts.URL+"/v1/status", "")
+			if code != 200 || json.Unmarshal(b, &sb) != nil {
+				report("status poll: %d %s", code, b)
+				return
+			}
+			if sb.Generation < last {
+				report("status poll: generation went backwards %d -> %d", last, sb.Generation)
+			}
+			last = sb.Generation
+			time.Sleep(2 * time.Millisecond)
+		}
+	}()
+
+	var writersWG sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writersWG.Add(1)
+		go func(w int) {
+			defer writersWG.Done()
+			for i := 0; i < pairs; i++ {
+				for _, insert := range []bool{true, false} {
+					if code, b := mutateHTTP(t, client, ts.URL, add[w], insert); code != 200 {
+						report("writer %d pair %d (insert=%v %v): %d %s", w, i, insert, add[w], code, b)
+					}
+				}
+			}
+		}(w)
+	}
+	writersWG.Wait()
+	close(stop)
+	readers.Wait()
+
+	for _, f := range failures {
+		t.Error(f)
+	}
+	end := s.gen.Load()
+	if want := start.id + 2*writers*pairs; end.id != want {
+		t.Errorf("generation %d after the burst, want %d (one per mutation)", end.id, want)
+	}
+	if !sameCSR(end.g, start.g) {
+		t.Error("CSR after matched insert/delete pairs differs from the starting CSR")
+	}
+}
+
 // TestChaosGracefulDrain parks several estimation runs, flips readiness off
 // and closes the server: every waiter — accept and reject alike — must get
 // an answer promptly, the inflight registry must empty, and the liveness

@@ -140,7 +140,7 @@ func TestRegistryEstimateAndMutatePerGraph(t *testing.T) {
 	}
 	// Mutate graph b: its generation advances, a's does not.
 	code, body = httpDo(t, ts.Client(), http.MethodPost, ts.URL+"/graphs/b/v1/edges", `{"u":0,"v":7}`)
-	if code != 200 && code != 400 { // 400 if the edge already exists
+	if code != 200 && code != 400 { // an existing edge is a 200 no-op; 400 is a refused change
 		t.Fatalf("edge insert b: %d %s", code, body)
 	}
 	var sa, sb statusBody

@@ -1,7 +1,7 @@
 // Package server exposes the BRICS estimators as a JSON-over-HTTP service
 // (see cmd/bricsd). The server owns one graph; estimation runs are cached
-// per option set and invalidated by dynamic edge updates, which are applied
-// through the exact incremental index.
+// per option set and invalidated by edge updates, each of which rebuilds the
+// graph's CSR and installs it as a fresh generation.
 //
 // Endpoints:
 //
@@ -12,7 +12,7 @@
 //	GET    /v1/farness/{node}?...             one node's estimate (same query params)
 //	GET    /v1/topk?k=10&sketch=1&...         verified top-k (exact values)
 //	GET    /v1/distance?from=1&to=2&mode=auto point-to-point distance
-//	POST   /v1/edges                          {"u":1,"v":2} insert (exact dynamic update)
+//	POST   /v1/edges                          {"u":1,"v":2} insert (rebuilds the CSR)
 //	DELETE /v1/edges?u=1&v=2                  remove an edge
 //
 // Robustness model. Reads (health, graph, distance, cached estimates) load
@@ -42,7 +42,6 @@ import (
 
 	"repro/internal/bfs"
 	"repro/internal/core"
-	"repro/internal/dynamic"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/sketch"
@@ -84,8 +83,8 @@ type Config struct {
 	// The registry sets it for artifacts whose FlagConnected records that
 	// the converter already verified connectivity — the check would fault in
 	// every page of an mmap-loaded graph and defeat the lazy load. A lying
-	// flag surfaces as an error on the first edge mutation (the dynamic
-	// index re-checks when it is built).
+	// flag surfaces as a 400 on every edge mutation that leaves the graph
+	// disconnected (each mutation checks the rebuilt graph's connectivity).
 	AssumeConnected bool
 }
 
@@ -111,16 +110,8 @@ func (c Config) withDefaults() Config {
 // Server is the HTTP handler. Create with New or NewWithConfig; it is safe
 // for concurrent use.
 type Server struct {
-	gen  atomic.Pointer[generation] // current graph snapshot + caches; lock-free reads
-	ixMu sync.Mutex                 // serialises edge mutations on ix
-	// ix is the exact incremental farness index. It is built lazily, on the
-	// first edge mutation: construction costs one BFS per node, which would
-	// dominate time-to-first-query — and fault in every page of an
-	// mmap-loaded graph — on the overwhelmingly common mutation-free path.
-	// The index copies the adjacency into its own maps, so once it exists,
-	// mutations never write through to the (possibly mapped, read-only)
-	// initial graph. Guarded by ixMu.
-	ix *dynamic.Index
+	gen   atomic.Pointer[generation] // current graph snapshot + caches; lock-free reads
+	mutMu sync.Mutex                 // serialises edge mutations (read-rebuild-swap of gen)
 
 	cfg        Config
 	sem        chan struct{}   // admission slots for estimation runs
@@ -158,7 +149,7 @@ func New(g *graph.Graph, workers int) (*Server, error) {
 
 // NewWithConfig builds a server over a connected graph. The graph is served
 // as-is — it may be a read-only CSR view over mapped memory (bincsr.Mapped);
-// the first edge mutation copies it into the dynamic index's own storage.
+// each edge mutation builds a fresh heap CSR rather than writing to it.
 func NewWithConfig(g *graph.Graph, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	if !cfg.AssumeConnected && !graph.IsConnected(g) {
@@ -733,63 +724,60 @@ type edgeBody struct {
 }
 
 type edgeResult struct {
-	Affected int `json:"affected"`
-	Edges    int `json:"edges"`
+	Edges int `json:"edges"`
 }
 
-// ensureIndex builds the dynamic farness index on first use, under ixMu.
-// This is where a mutation-bound server pays the one-BFS-per-node setup the
-// constructor deferred — and where a graph falsely flagged connected
-// (Config.AssumeConnected) is finally caught.
-func (s *Server) ensureIndex() error {
-	if s.ix != nil {
-		return nil
-	}
-	ix, err := dynamic.New(s.gen.Load().g, s.cfg.Workers)
-	if err != nil {
-		return err
-	}
-	s.ix = ix
-	return nil
-}
-
-// mutate applies one edge update under the mutation lock and, on success,
-// installs a fresh generation: new snapshot, empty cache, no flights, next
-// id. Runs still computing against the old generation finish (and cache)
-// there harmlessly — new requests only ever see the new generation. The
-// fault checkpoint lets the chaos suite stall or crash a mutation mid-swap.
-func (s *Server) mutate(apply func() error) (affected, edges int, err error) {
-	s.ixMu.Lock()
-	defer s.ixMu.Unlock()
+// mutate applies one edge update under the mutation lock by rebuilding the
+// current generation's CSR with {u, v} added (insert) or removed, and on
+// success installs a fresh generation: new snapshot, empty cache, no flights,
+// next id. The rebuild is a heap copy, so a mutation never writes through to
+// the (possibly mapped, read-only) initial graph. Inserting an existing edge
+// or a self loop is a no-op that still installs a generation; deleting an
+// absent edge, or any change that leaves the graph disconnected, is refused.
+// Runs still computing against the old generation finish (and cache) there
+// harmlessly — new requests only ever see the new generation. The fault
+// checkpoint lets the chaos suite stall or crash a mutation mid-swap.
+func (s *Server) mutate(u, v graph.NodeID, insert bool) (edges int, err error) {
+	s.mutMu.Lock()
+	defer s.mutMu.Unlock()
+	g := s.gen.Load().g
 	if err := fault.Inject(context.Background(), "server.mutate"); err != nil {
-		return 0, s.gen.Load().g.NumEdges(), err
+		return g.NumEdges(), err
 	}
-	if err := s.ensureIndex(); err != nil {
-		return 0, s.gen.Load().g.NumEdges(), err
+	n := graph.NodeID(g.NumNodes())
+	if u < 0 || v < 0 || u >= n || v >= n {
+		return g.NumEdges(), fmt.Errorf("edge {%d,%d} out of range", u, v)
 	}
-	err = apply()
-	affected = s.ix.UpdatedLast
-	if err != nil {
-		return affected, s.gen.Load().g.NumEdges(), err
+	if !insert && !g.HasEdge(u, v) {
+		return g.NumEdges(), fmt.Errorf("edge {%d,%d} not present", u, v)
 	}
-	g := s.ix.Snapshot()
-	s.gen.Store(newGeneration(g, s.genSeq.Add(1)))
-	return affected, g.NumEdges(), nil
+	b := graph.NewBuilder(int(n))
+	g.Edges(func(a, c graph.NodeID) {
+		if insert || !(a == u && c == v || a == v && c == u) {
+			_ = b.AddEdge(a, c)
+		}
+	})
+	if insert {
+		_ = b.AddEdge(u, v) // the builder drops self loops and duplicates
+	}
+	next := b.Build()
+	// One check covers both refusals: a delete that cuts a bridge, and a
+	// graph whose connectivity was assumed (Config.AssumeConnected) but
+	// never held.
+	if !graph.IsConnected(next) {
+		return g.NumEdges(), fmt.Errorf("edge {%d,%d}: the graph would be disconnected", u, v)
+	}
+	s.gen.Store(newGeneration(next, s.genSeq.Add(1)))
+	return next.NumEdges(), nil
 }
 
 func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
+	var e edgeBody
 	switch r.Method {
 	case http.MethodPost:
-		var e edgeBody
 		if !decodeBody(w, r, &e) {
 			return
 		}
-		affected, edges, err := s.mutate(func() error { return s.ix.AddEdge(e.U, e.V) })
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, edgeResult{Affected: affected, Edges: edges})
 	case http.MethodDelete:
 		q := r.URL.Query()
 		u, err1 := strconv.ParseInt(q.Get("u"), 10, 32)
@@ -798,17 +786,17 @@ func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, "u and v query params required")
 			return
 		}
-		affected, edges, err := s.mutate(func() error {
-			return s.ix.RemoveEdge(graph.NodeID(u), graph.NodeID(v))
-		})
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, edgeResult{Affected: affected, Edges: edges})
+		e = edgeBody{U: graph.NodeID(u), V: graph.NodeID(v)}
 	default:
 		writeErr(w, http.StatusMethodNotAllowed, "POST or DELETE")
+		return
 	}
+	edges, err := s.mutate(e.U, e.V, r.Method == http.MethodPost)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, edgeResult{Edges: edges})
 }
 
 type distanceBody struct {
